@@ -5,13 +5,16 @@
 //   * worst-case-optimal generic join vs naive nested-loop join (§5.1),
 //   * semi-naïve vs naïve evaluation (§4.3),
 //   * rebuilding cost as unions accumulate (§5.1),
-//   * the core data structures (table, union-find).
+//   * the core data structures (table, union-find),
+//   * the exact arithmetic under the Herbie interval analyses (BigInt
+//     division, Rational normalization).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Engine.h"
 #include "core/Frontend.h"
 #include "core/Query.h"
+#include "support/Rational.h"
 
 #include <benchmark/benchmark.h>
 
@@ -193,6 +196,66 @@ void BM_UnionFind(benchmark::State &State) {
   }
 }
 
+/// A seeded multi-limb magnitude with a set top bit.
+BigInt randomBigInt(std::mt19937_64 &Rng, unsigned Limbs) {
+  BigInt Result;
+  for (unsigned I = 0; I < Limbs; ++I)
+    Result = Result.shiftLeft(32) +
+             BigInt(static_cast<int64_t>(static_cast<uint32_t>(Rng())));
+  return Result + BigInt(1).shiftLeft(32 * Limbs - 1);
+}
+
+/// Word-level long division: an N-limb divisor into a 2N-limb dividend,
+/// the shape gcd steps and Rational rounding produce.
+void BM_BigIntDivmod(benchmark::State &State) {
+  unsigned Limbs = static_cast<unsigned>(State.range(0));
+  std::mt19937_64 Rng(11);
+  std::vector<std::pair<BigInt, BigInt>> Pairs;
+  for (int I = 0; I < 64; ++I)
+    Pairs.emplace_back(randomBigInt(Rng, 2 * Limbs),
+                       randomBigInt(Rng, Limbs));
+  size_t Next = 0;
+  BigInt Quotient, Remainder;
+  for (auto _ : State) {
+    const auto &[Dividend, Divisor] = Pairs[Next++ % Pairs.size()];
+    BigInt::divmod(Dividend, Divisor, Quotient, Remainder);
+    benchmark::DoNotOptimize(Quotient);
+    benchmark::DoNotOptimize(Remainder);
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+
+/// Rational normalization (a gcd and two exact divisions) of the products
+/// and sums of dyadic interval endpoints, as roundDown/roundUp at
+/// State.range(0) bits produce them.
+void BM_RationalNormalize(benchmark::State &State) {
+  unsigned Bits = static_cast<unsigned>(State.range(0));
+  std::mt19937_64 Rng(13);
+  std::vector<Rational> Endpoints;
+  for (int I = 0; I < 64; ++I) {
+    Rational Exact(randomBigInt(Rng, 4), randomBigInt(Rng, 3));
+    Endpoints.push_back(I % 2 ? Exact.roundUp(Bits) : Exact.roundDown(Bits));
+  }
+  // Unnormalized numerator/denominator pairs: a product and a sum of two
+  // endpoints, before the Rational constructor reduces them.
+  std::vector<std::pair<BigInt, BigInt>> Raw;
+  for (size_t I = 0; I + 1 < Endpoints.size(); ++I) {
+    const Rational &A = Endpoints[I], &B = Endpoints[I + 1];
+    Raw.emplace_back(A.numerator() * B.numerator(),
+                     A.denominator() * B.denominator());
+    Raw.emplace_back(A.numerator() * B.denominator() +
+                         B.numerator() * A.denominator(),
+                     A.denominator() * B.denominator());
+  }
+  size_t Next = 0;
+  for (auto _ : State) {
+    const auto &[Num, Den] = Raw[Next++ % Raw.size()];
+    Rational Reduced(Num, Den);
+    benchmark::DoNotOptimize(Reduced);
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+
 } // namespace
 
 BENCHMARK(BM_GenericJoinTriangle)->Arg(64)->Arg(256)->Arg(1024);
@@ -203,6 +266,8 @@ BENCHMARK(BM_RebuildAfterUnions)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_RebuildSparseUnions)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_TableInsertLookup)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_UnionFind)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_BigIntDivmod)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_RationalNormalize)->Arg(32)->Arg(64)->Arg(128);
 
 namespace {
 

@@ -180,11 +180,12 @@ public:
     return find(A) == find(B);
   }
 
-  /// The classmates of \p V (including V itself).
-  const std::vector<Val> &members(Val V) const {
-    static const std::vector<Val> Empty;
+  /// The classmates of \p V (including V itself). A copy, because any
+  /// insert may reallocate or free the class lists, and joins keep
+  /// enumerating a class while their heads insert.
+  std::vector<Val> members(Val V) const {
     if (V >= Parent.size())
-      return Empty;
+      return {};
     return Members[find(V)];
   }
 

@@ -269,7 +269,8 @@ void Evaluator::joinFrom(const DatalogRule &Rule, size_t AtomIndex,
 
     if (AtomIndex == DeltaAtom) {
       // Delta: the absorbed members of each recent merge changed their
-      // representative.
+      // representative. The delta events change only at advance(), so
+      // they are safe to iterate while the head inserts.
       for (const EqRel::MergeEvent &Event : Repr->deltaEvents()) {
         Val Rep = Repr->find(Event.Root);
         for (Val Absorbed : Event.Absorbed)
@@ -345,6 +346,8 @@ void Evaluator::joinFrom(const DatalogRule &Rule, size_t AtomIndex,
       // in the last iteration, reconstructed from the merge events. A pair
       // is new iff it connects an absorbed member with the rest of its new
       // class; supersets are harmless (duplicates dedupe downstream).
+      // The delta events change only at advance(), so they are safe to
+      // iterate while the head inserts.
       for (const EqRel::MergeEvent &Event : Eq.deltaEvents()) {
         Val Root = Eq.find(Event.Root);
         if (V0) {
@@ -358,8 +361,9 @@ void Evaluator::joinFrom(const DatalogRule &Rule, size_t AtomIndex,
             BindAndRecurse(T1, M);
           continue;
         }
+        std::vector<Val> Classmates = Eq.members(Root);
         for (Val Absorbed : Event.Absorbed) {
-          for (Val M : Eq.members(Root)) {
+          for (Val M : Classmates) {
             BindPair(Absorbed, M);
             BindPair(M, Absorbed);
           }

@@ -7,10 +7,101 @@
 #include "support/BigInt.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 using namespace egglog;
+
+namespace {
+
+/// Divides the magnitude \p Work by \p Divisor in place (one pass of
+/// 64-by-32 divides); returns the remainder.
+uint32_t divideSmall(std::vector<uint32_t> &Work, uint32_t Divisor) {
+  uint64_t Remainder = 0;
+  for (size_t I = Work.size(); I-- > 0;) {
+    uint64_t Current = (Remainder << 32) | Work[I];
+    Work[I] = static_cast<uint32_t>(Current / Divisor);
+    Remainder = Current % Divisor;
+  }
+  while (!Work.empty() && Work.back() == 0)
+    Work.pop_back();
+  return static_cast<uint32_t>(Remainder);
+}
+
+/// Knuth's Algorithm D on magnitudes: returns U / V and sets \p Remainder
+/// to U % V (both possibly with leading zero limbs). Requires U >= V and at
+/// least two limbs in V.
+std::vector<uint32_t> divideKnuth(const std::vector<uint32_t> &U,
+                                  const std::vector<uint32_t> &V,
+                                  std::vector<uint32_t> &Remainder) {
+  assert(V.size() >= 2 && U.size() >= V.size() && V.back() != 0);
+  const uint64_t Base = static_cast<uint64_t>(1) << 32;
+  size_t N = V.size(), M = U.size() - N;
+  // D1: normalize so the divisor's top limb has its high bit set; the
+  // quotient is unchanged and the remainder comes out shifted by S.
+  unsigned S = static_cast<unsigned>(std::countl_zero(V.back()));
+  auto ShiftedLimb = [S](const std::vector<uint32_t> &X, size_t I) {
+    uint32_t High = I < X.size() ? X[I] : 0;
+    uint32_t Low = I > 0 ? X[I - 1] : 0;
+    return S == 0 ? High : (High << S) | (Low >> (32 - S));
+  };
+  std::vector<uint32_t> Vn(N), Un(U.size() + 1);
+  for (size_t I = 0; I < N; ++I)
+    Vn[I] = ShiftedLimb(V, I);
+  for (size_t I = 0; I <= U.size(); ++I)
+    Un[I] = ShiftedLimb(U, I);
+  std::vector<uint32_t> Quotient(M + 1);
+  uint64_t Top = Vn[N - 1], Next = Vn[N - 2];
+  for (size_t J = M + 1; J-- > 0;) {
+    // D3: estimate the quotient limb from the top two limbs; the
+    // correction runs at most twice and leaves QHat exact or one too big.
+    uint64_t Head = (static_cast<uint64_t>(Un[J + N]) << 32) | Un[J + N - 1];
+    uint64_t QHat = Head / Top, RHat = Head % Top;
+    while (QHat >= Base || QHat * Next > ((RHat << 32) | Un[J + N - 2])) {
+      --QHat;
+      RHat += Top;
+      if (RHat >= Base)
+        break;
+    }
+    // D4: multiply and subtract QHat * Vn from the window Un[J..J+N].
+    uint64_t Carry = 0, Borrow = 0;
+    for (size_t I = 0; I < N; ++I) {
+      uint64_t Product = QHat * Vn[I] + Carry;
+      Carry = Product >> 32;
+      uint64_t Subtrahend = (Product & 0xffffffffu) + Borrow;
+      uint32_t Limb = Un[I + J];
+      Un[I + J] = static_cast<uint32_t>(Limb - Subtrahend);
+      Borrow = Limb < Subtrahend;
+    }
+    uint64_t Subtrahend = Carry + Borrow;
+    uint32_t Limb = Un[J + N];
+    Un[J + N] = static_cast<uint32_t>(Limb - Subtrahend);
+    // D6: the rare negative case (probability ~2/2^32): QHat was one too
+    // big, so add the divisor back; the carry out cancels the borrow.
+    if (Limb < Subtrahend) {
+      --QHat;
+      Carry = 0;
+      for (size_t I = 0; I < N; ++I) {
+        uint64_t Sum = static_cast<uint64_t>(Un[I + J]) + Vn[I] + Carry;
+        Un[I + J] = static_cast<uint32_t>(Sum);
+        Carry = Sum >> 32;
+      }
+      Un[J + N] += static_cast<uint32_t>(Carry);
+    }
+    Quotient[J] = static_cast<uint32_t>(QHat);
+  }
+  // D8: the remainder is Un[0..N) shifted back down by S.
+  if (S != 0)
+    for (size_t I = 0; I < N; ++I)
+      Un[I] = (Un[I] >> S) | (Un[I + 1] << (32 - S));
+  Un.resize(N);
+  Remainder = std::move(Un);
+  return Quotient;
+}
+
+} // namespace
 
 BigInt::BigInt(int64_t Value) {
   Negative = Value < 0;
@@ -93,14 +184,7 @@ std::string BigInt::toString() const {
   std::vector<uint32_t> Work = Limbs;
   std::string Digits;
   while (!Work.empty()) {
-    uint64_t Remainder = 0;
-    for (size_t I = Work.size(); I-- > 0;) {
-      uint64_t Current = (Remainder << 32) | Work[I];
-      Work[I] = static_cast<uint32_t>(Current / 1000000000u);
-      Remainder = Current % 1000000000u;
-    }
-    while (!Work.empty() && Work.back() == 0)
-      Work.pop_back();
+    uint32_t Remainder = divideSmall(Work, 1000000000u);
     for (int I = 0; I < 9; ++I) {
       Digits.push_back(static_cast<char>('0' + Remainder % 10));
       Remainder /= 10;
@@ -234,30 +318,31 @@ BigInt BigInt::operator*(const BigInt &Other) const {
 void BigInt::divmod(const BigInt &Dividend, const BigInt &Divisor,
                     BigInt &Quotient, BigInt &Remainder) {
   assert(!Divisor.isZero() && "division by zero");
-  // Schoolbook long division on the magnitudes, one bit at a time. This is
-  // O(bits * limbs) which is plenty for the sizes egglog manipulates.
-  Quotient = BigInt();
-  Remainder = BigInt();
-  unsigned Bits = Dividend.bitWidth();
-  std::vector<uint32_t> Quot((Bits + 31) / 32, 0);
-  BigInt AbsDivisor = Divisor;
-  AbsDivisor.Negative = false;
-  for (unsigned BitIndex = Bits; BitIndex-- > 0;) {
-    // Remainder = Remainder * 2 + bit.
-    Remainder = Remainder.shiftLeft(1);
-    unsigned Limb = BitIndex / 32, Offset = BitIndex % 32;
-    if ((Dividend.Limbs[Limb] >> Offset) & 1)
-      Remainder = Remainder + BigInt(1);
-    if (Remainder.compare(AbsDivisor) >= 0) {
-      Remainder = Remainder - AbsDivisor;
-      Quot[Limb] |= (1u << Offset);
-    }
+  // Word-level long division on the magnitudes: Knuth's Algorithm D (TAOCP
+  // vol. 2, 4.3.1) over 32-bit limbs with 64-bit intermediates. Each
+  // quotient limb costs one 64-by-32 divide plus an O(n) multiply-subtract,
+  // so dividing m+n limbs by n limbs is O(m * n) limb operations and a
+  // fixed number of allocations (the quotient and shifted working copies of
+  // both operands; the dividend's copy becomes the remainder).
+  // Quotient and Remainder may alias the operands, so the results are
+  // built in locals and moved out at the end.
+  const std::vector<uint32_t> &U = Dividend.Limbs, &V = Divisor.Limbs;
+  BigInt Quot, Rem;
+  if (compareMagnitude(U, V) < 0) {
+    Rem = Dividend;
+  } else if (V.size() == 1) {
+    Quot.Limbs = U;
+    if (uint32_t Low = divideSmall(Quot.Limbs, V[0]))
+      Rem.Limbs.push_back(Low);
+  } else {
+    Quot.Limbs = divideKnuth(U, V, Rem.Limbs);
   }
-  Quotient.Limbs = std::move(Quot);
-  Quotient.normalize();
-  Quotient.Negative =
-      (Dividend.Negative != Divisor.Negative) && !Quotient.isZero();
-  Remainder.Negative = Dividend.Negative && !Remainder.isZero();
+  Quot.normalize();
+  Rem.normalize();
+  Quot.Negative = Dividend.Negative != Divisor.Negative && !Quot.isZero();
+  Rem.Negative = Dividend.Negative && !Rem.isZero();
+  Quotient = std::move(Quot);
+  Remainder = std::move(Rem);
 }
 
 BigInt BigInt::operator/(const BigInt &Other) const {
@@ -275,12 +360,25 @@ BigInt BigInt::operator%(const BigInt &Other) const {
 BigInt BigInt::gcd(BigInt A, BigInt B) {
   A.Negative = false;
   B.Negative = false;
-  while (!B.isZero()) {
+  // Euclid on BigInts until both operands fit in 64 bits, then natively.
+  while (!B.isZero() && (A.Limbs.size() > 2 || B.Limbs.size() > 2)) {
     BigInt Remainder = A % B;
     A = std::move(B);
     B = std::move(Remainder);
   }
-  return A;
+  if (B.isZero())
+    return A;
+  auto Low64 = [](const BigInt &X) {
+    uint64_t Value = 0;
+    for (size_t I = X.Limbs.size(); I-- > 0;)
+      Value = Value << 32 | X.Limbs[I];
+    return Value;
+  };
+  uint64_t X = std::gcd(Low64(A), Low64(B));
+  BigInt Result;
+  Result.Limbs = {static_cast<uint32_t>(X), static_cast<uint32_t>(X >> 32)};
+  Result.normalize();
+  return Result;
 }
 
 BigInt BigInt::pow(uint64_t Exponent) const {

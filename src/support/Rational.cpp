@@ -26,6 +26,8 @@ void Rational::normalize() {
     Den = BigInt(1);
     return;
   }
+  if (Den.isOne())
+    return;
   BigInt Divisor = BigInt::gcd(Num, Den);
   if (!Divisor.isOne()) {
     Num = Num / Divisor;

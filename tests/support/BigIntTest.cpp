@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <random>
+#include <vector>
 
 using egglog::BigInt;
 
@@ -203,4 +204,269 @@ TEST_P(BigIntPropertyTest, IsqrtBounds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntPropertyTest,
+                         ::testing::Values(1u, 2u, 3u, 42u, 1234u));
+
+//===----------------------------------------------------------------------===
+// Division: word-level long division against the defining identities.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// Builds a value from little-endian 32-bit limbs with public operations
+/// only (no division), so the oracle does not depend on the code under test.
+BigInt fromLimbs(const std::vector<uint32_t> &Limbs, bool Negative = false) {
+  BigInt Result;
+  for (size_t I = Limbs.size(); I-- > 0;)
+    Result = Result.shiftLeft(32) + BigInt(static_cast<int64_t>(Limbs[I]));
+  return Negative ? -Result : Result;
+}
+
+BigInt absOf(const BigInt &X) { return X.isNegative() ? -X : X; }
+
+/// Truncated division is the unique (Q, R) with Q*V + R == U, |R| < |V|,
+/// and R zero or carrying U's sign; checks divmod, / and % against that,
+/// and that divmod tolerates its outputs aliasing its inputs.
+void expectTruncatedDivision(const BigInt &U, const BigInt &V) {
+  BigInt Q, R;
+  BigInt::divmod(U, V, Q, R);
+  EXPECT_EQ(Q * V + R, U) << U.toString() << " / " << V.toString();
+  EXPECT_LT(absOf(R).compare(absOf(V)), 0)
+      << U.toString() << " / " << V.toString();
+  if (!R.isZero()) {
+    EXPECT_EQ(R.sign(), U.sign()) << U.toString() << " / " << V.toString();
+  }
+  EXPECT_EQ(U / V, Q);
+  EXPECT_EQ(U % V, R);
+  BigInt AliasQ = U, AliasR = V;
+  BigInt::divmod(AliasQ, AliasR, AliasQ, AliasR);
+  EXPECT_EQ(AliasQ, Q);
+  EXPECT_EQ(AliasR, R);
+}
+
+/// A random limb biased toward the patterns that stress Algorithm D:
+/// all-zero and all-ones limbs, and the top bit alone.
+uint32_t randomLimb(std::mt19937_64 &Rng) {
+  switch (Rng() % 5) {
+  case 0:
+    return 0;
+  case 1:
+    return 0xffffffffu;
+  case 2:
+    return 0x80000000u;
+  default:
+    return static_cast<uint32_t>(Rng());
+  }
+}
+
+BigInt randomBigInt(std::mt19937_64 &Rng, size_t MaxLimbs) {
+  std::vector<uint32_t> Limbs(Rng() % (MaxLimbs + 1));
+  for (uint32_t &Limb : Limbs)
+    Limb = randomLimb(Rng);
+  return fromLimbs(Limbs, Rng() & 1);
+}
+
+/// Euclid over operator% all the way down: the reference for gcd's
+/// native 64-bit tail.
+BigInt referenceGcd(BigInt A, BigInt B) {
+  A = absOf(A);
+  B = absOf(B);
+  while (!B.isZero()) {
+    BigInt Remainder = A % B;
+    A = std::move(B);
+    B = std::move(Remainder);
+  }
+  return A;
+}
+
+} // namespace
+
+TEST(BigIntDivisionTest, HackersDelightVectors) {
+  // The divmnu test vectors of Hacker's Delight (2nd ed., 9-2): several
+  // need the q-hat correction, several the rare add-back step. Limbs are
+  // little-endian; the quotient and remainder are exact.
+  struct Vector {
+    std::vector<uint32_t> U, V, Q, R;
+  };
+  const Vector Vectors[] = {
+      {{0x00000003}, {0x00000002}, {0x00000001}, {0x00000001}},
+      {{0x00000003}, {0x00000003}, {0x00000001}, {}},
+      {{0x00000003}, {0x00000004}, {}, {0x00000003}},
+      {{0x00000000}, {0xffffffff}, {}, {}},
+      {{0xffffffff}, {0x00000001}, {0xffffffff}, {}},
+      {{0xffffffff}, {0xffffffff}, {0x00000001}, {}},
+      {{0xffffffff}, {0x00000003}, {0x55555555}, {}},
+      {{0xffffffff, 0xffffffff}, {0x00000001}, {0xffffffff, 0xffffffff}, {}},
+      {{0xffffffff, 0xffffffff}, {0xffffffff}, {0x00000001, 0x00000001}, {}},
+      {{0xffffffff, 0xfffffffe}, {0xffffffff}, {0xffffffff}, {0xfffffffe}},
+      {{0x00005678, 0x00001234}, {0x00009abc}, {0x1e1dba76}, {0x00006bd0}},
+      {{0x00000000, 0x00000000}, {0x00000000, 0x00000001}, {}, {}},
+      {{0x00000000, 0x00000007},
+       {0x00000000, 0x00000003},
+       {0x00000002},
+       {0x00000000, 0x00000001}},
+      {{0x00000005, 0x00000007},
+       {0x00000000, 0x00000003},
+       {0x00000002},
+       {0x00000005, 0x00000001}},
+      {{0x00000000, 0x00000006}, {0x00000000, 0x00000002}, {0x00000003}, {}},
+      {{0x80000000}, {0x40000001}, {0x00000001}, {0x3fffffff}},
+      {{0x00000000, 0x80000000},
+       {0x40000001},
+       {0xfffffff8, 0x00000001},
+       {0x00000008}},
+      {{0x00000000, 0x80000000},
+       {0x00000001, 0x40000000},
+       {0x00000001},
+       {0xffffffff, 0x3fffffff}},
+      {{0x0000789a, 0x0000bcde}, {0x0000789a, 0x0000bcde}, {0x00000001}, {}},
+      {{0x0000789b, 0x0000bcde},
+       {0x0000789a, 0x0000bcde},
+       {0x00000001},
+       {0x00000001}},
+      {{0x00007899, 0x0000bcde},
+       {0x0000789a, 0x0000bcde},
+       {},
+       {0x00007899, 0x0000bcde}},
+      {{0x0000ffff, 0x0000ffff}, {0x0000ffff, 0x0000ffff}, {0x00000001}, {}},
+      {{0x0000ffff, 0x0000ffff},
+       {0x00000000, 0x00010000},
+       {},
+       {0x0000ffff, 0x0000ffff}},
+      {{0x000089ab, 0x00004567, 0x00000123},
+       {0x00000000, 0x00000001},
+       {0x00004567, 0x00000123},
+       {0x000089ab}},
+      {{0x00000000, 0x0000fffe, 0x00008000},
+       {0x0000ffff, 0x00008000},
+       {0xffffffff},
+       {0x0000ffff, 0x00007fff}},
+      {{0x00000003, 0x00000000, 0x00000000, 0x80000000},
+       {0x00000001, 0x00000000, 0x20000000},
+       {0xffffffff, 0x00000003},
+       {0x00000004, 0xfffffffc, 0x1fffffff}},
+      {{0x00000003, 0x00000000, 0x00008000, 0x00008000},
+       {0x00000001, 0x00000000, 0x00008000},
+       {0x00000000, 0x00000001},
+       {0x00000003, 0xffffffff, 0x00007fff}},
+      {{0x00000000, 0x00000000, 0x00008000, 0x00007fff},
+       {0x00000001, 0x00000000, 0x00008000},
+       {0xfffe0000},
+       {0x00020000, 0xffffffff, 0x00007fff}},
+      {{0x00000000, 0x0000fffe, 0x00000000, 0x00008000},
+       {0x0000ffff, 0x00000000, 0x00008000},
+       {0xffffffff},
+       {0x0000ffff, 0xffffffff, 0x00007fff}},
+      {{0x00000000, 0xfffffffe, 0x00000000, 0x80000000},
+       {0x0000ffff, 0x00000000, 0x80000000},
+       {0x00000000, 0x00000001},
+       {0x00000000, 0xfffeffff}},
+      {{0x00000000, 0xfffffffe, 0x00000000, 0x80000000},
+       {0xffffffff, 0x00000000, 0x80000000},
+       {0xffffffff},
+       {0xffffffff, 0xffffffff, 0x7fffffff}},
+  };
+  for (const Vector &T : Vectors) {
+    BigInt U = fromLimbs(T.U), V = fromLimbs(T.V);
+    BigInt Q, R;
+    BigInt::divmod(U, V, Q, R);
+    EXPECT_EQ(Q, fromLimbs(T.Q)) << U.toString() << " / " << V.toString();
+    EXPECT_EQ(R, fromLimbs(T.R)) << U.toString() << " % " << V.toString();
+    for (bool NegU : {false, true})
+      for (bool NegV : {false, true})
+        expectTruncatedDivision(NegU ? -U : U, NegV ? -V : V);
+  }
+}
+
+TEST(BigIntDivisionTest, LimbBoundaries) {
+  // 2^32 and 2^64 boundaries, INT64_MIN, and mixed signs, in decimal:
+  // dividend, divisor, quotient, remainder (truncated division).
+  struct Case {
+    const char *U, *V, *Q, *R;
+  };
+  const Case Cases[] = {
+      {"18446744073709551616", "4294967296", "4294967296", "0"},
+      {"18446744073709551615", "4294967295", "4294967297", "0"},
+      {"18446744073709551616", "18446744073709551615", "1", "1"},
+      {"79228162514264337593543950336", "18446744073709551617",
+       "4294967295", "18446744069414584321"},
+      {"18446744073709551615", "4294967296", "4294967295", "4294967295"},
+      {"4294967296", "4294967295", "1", "1"},
+      {"-9223372036854775808", "-1", "9223372036854775808", "0"},
+      {"-9223372036854775808", "4294967296", "-2147483648", "0"},
+      {"340282366920938463463374607431768211455", "18446744073709551615",
+       "18446744073709551617", "0"},
+      {"-79228162514264337593543950335", "8589934599",
+       "-9223372029338583046", "-1073741781"},
+  };
+  for (const Case &C : Cases) {
+    bool Ok = true;
+    BigInt U = BigInt::fromString(C.U, Ok), V = BigInt::fromString(C.V, Ok);
+    BigInt Q, R;
+    BigInt::divmod(U, V, Q, R);
+    EXPECT_EQ(Q.toString(), C.Q) << C.U << " / " << C.V;
+    EXPECT_EQ(R.toString(), C.R) << C.U << " % " << C.V;
+    expectTruncatedDivision(U, V);
+  }
+}
+
+TEST(BigIntDivisionTest, EqualAndSmallerDividends) {
+  std::mt19937_64 Rng(17);
+  for (int Trial = 0; Trial < 200; ++Trial) {
+    BigInt V = randomBigInt(Rng, 9);
+    if (V.isZero())
+      continue;
+    // U == V divides to one with no remainder.
+    BigInt Q, R;
+    BigInt::divmod(V, V, Q, R);
+    EXPECT_EQ(Q, BigInt(1));
+    EXPECT_TRUE(R.isZero());
+    // |U| < |V| gives a zero quotient and U back as the remainder.
+    BigInt Smaller = absOf(V) - BigInt(1);
+    if (V.isNegative())
+      Smaller = -Smaller;
+    BigInt::divmod(Smaller, V, Q, R);
+    EXPECT_TRUE(Q.isZero());
+    EXPECT_EQ(R, Smaller);
+    expectTruncatedDivision(Smaller, V);
+  }
+}
+
+class BigIntDivisionPropertyTest
+    : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(BigIntDivisionPropertyTest, RandomOperandsUpToNineLimbs) {
+  std::mt19937_64 Rng(GetParam());
+  for (int Trial = 0; Trial < 10000; ++Trial) {
+    BigInt U = randomBigInt(Rng, 9), V = randomBigInt(Rng, 9);
+    if (V.isZero())
+      continue;
+    expectTruncatedDivision(U, V);
+  }
+}
+
+TEST_P(BigIntDivisionPropertyTest, DoubleWidthDividends) {
+  // Dividends twice the divisor's width: every quotient limb goes
+  // through the estimate-and-correct step.
+  std::mt19937_64 Rng(GetParam() * 31 + 5);
+  for (int Trial = 0; Trial < 500; ++Trial) {
+    BigInt V = randomBigInt(Rng, 9);
+    if (V.isZero())
+      continue;
+    BigInt U = V * randomBigInt(Rng, 9) + randomBigInt(Rng, 9);
+    expectTruncatedDivision(U, V);
+  }
+}
+
+TEST_P(BigIntDivisionPropertyTest, GcdMatchesEuclid) {
+  std::mt19937_64 Rng(GetParam() * 7 + 3);
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    BigInt Common = randomBigInt(Rng, 3);
+    BigInt A = randomBigInt(Rng, 6) * Common, B = randomBigInt(Rng, 6) * Common;
+    BigInt G = BigInt::gcd(A, B);
+    EXPECT_EQ(G, referenceGcd(A, B)) << A.toString() << ", " << B.toString();
+    EXPECT_FALSE(G.isNegative());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BigIntDivisionPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 42u, 1234u));
