@@ -304,10 +304,9 @@ void emitPhaseRecord() {
   std::fprintf(stderr,
                "{\"bench\": \"ablation_tc\", \"system\": \"egglog\", "
                "\"iterations\": %zu, \"threads\": %u, \"match_s\": %.6f, "
-               "\"apply_s\": %.6f, \"apply_stage_s\": %.6f, \"rebuild_s\": "
-               "%.6f, \"rebuild_gather_s\": %.6f, \"total_s\": %.6f}\n",
+               "\"apply_s\": %.6f, \"rebuild_s\": %.6f, \"total_s\": %.6f}\n",
                T.Iterations, ThreadsFlag, T.SearchSeconds, T.ApplySeconds,
-               T.ApplyStageSeconds, T.RebuildSeconds, T.RebuildGatherSeconds,
+               T.RebuildSeconds,
                T.SearchSeconds + T.ApplySeconds + T.RebuildSeconds);
 }
 

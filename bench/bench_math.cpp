@@ -37,14 +37,8 @@ struct Series {
   double SearchSeconds = 0;
   /// Total seconds spent in the apply phase across all iterations.
   double ApplySeconds = 0;
-  /// Read-only staging share of ApplySeconds (multi-threaded egglog only;
-  /// always 0 for the serial systems and the egg baseline).
-  double ApplyStageSeconds = 0;
   /// Total seconds spent in the rebuild phase across all iterations.
   double RebuildSeconds = 0;
-  /// Read-only catch-up/gather share of RebuildSeconds (multi-threaded
-  /// egglog only).
-  double RebuildGatherSeconds = 0;
   /// Rebuild seconds per reported iteration (merge-heavy late iterations
   /// are where incremental rebuilding pays off; the JSON keeps the tail).
   std::vector<double> RebuildPerIteration;
@@ -130,8 +124,6 @@ Series runEgglog(bool SemiNaive, unsigned Iterations, size_t NodeLimit) {
     for (const IterationStats &Stats : Report.Iterations) {
       Result.SearchSeconds += Stats.SearchSeconds;
       Result.ApplySeconds += Stats.ApplySeconds;
-      Result.ApplyStageSeconds += Stats.ApplyStageSeconds;
-      Result.RebuildGatherSeconds += Stats.RebuildGatherSeconds;
       StepRebuild += Stats.RebuildSeconds;
     }
     Result.RebuildSeconds += StepRebuild;
@@ -230,13 +222,11 @@ int main(int argc, char **argv) {
       RebuildTail += S.RebuildPerIteration[I];
     std::printf("{\"bench\": \"%s\", \"system\": \"%s\", \"iterations\": "
                 "%zu, \"enodes\": %zu, \"threads\": %u, \"search_s\": %.6f, "
-                "\"match_s\": %.6f, \"apply_s\": %.6f, \"apply_stage_s\": "
-                "%.6f, \"rebuild_s\": %.6f, \"rebuild_gather_s\": %.6f, "
+                "\"match_s\": %.6f, \"apply_s\": %.6f, \"rebuild_s\": %.6f, "
                 "\"rebuild_tail_s\": %.6f, \"total_s\": %.6f}\n",
                 Bench, System, S.ENodes.size(), S.ENodes.back(), Threads,
                 S.SearchSeconds, S.SearchSeconds, S.ApplySeconds,
-                S.ApplyStageSeconds, S.RebuildSeconds, S.RebuildGatherSeconds,
-                RebuildTail, S.CumulativeSeconds.back());
+                S.RebuildSeconds, RebuildTail, S.CumulativeSeconds.back());
   };
   // The egg baseline is always serial; only the egglog systems honor
   // --threads, and their records must say so or the trajectory would

@@ -113,7 +113,7 @@ int main(int argc, char **argv) {
   // Totals over every program (timeouts included at their measured cost),
   // for the machine-readable trajectory record.
   double EgglogTotal = 0, EgglogSearch = 0, EgglogApply = 0,
-         EgglogApplyStage = 0, EgglogRebuild = 0, EgglogRebuildGather = 0;
+         EgglogRebuild = 0;
   uint64_t ContentHash = 0;
 
   for (const Program &P : Suite) {
@@ -128,9 +128,7 @@ int main(int argc, char **argv) {
         EgglogTotal += Result.Seconds;
         EgglogSearch += Result.SearchSeconds;
         EgglogApply += Result.ApplySeconds;
-        EgglogApplyStage += Result.ApplyStageSeconds;
         EgglogRebuild += Result.RebuildSeconds;
-        EgglogRebuildGather += Result.RebuildGatherSeconds;
         ContentHash ^= Result.ContentHash;
       }
       if (Result.TimedOut) {
@@ -169,8 +167,8 @@ int main(int argc, char **argv) {
 
   // Machine-readable trajectory record (one JSON object per line): the
   // full egglog system summed over every program in the suite. match_s
-  // duplicates search_s under the phase-separated pipeline's name so the
-  // trajectory can attribute wins per phase; threads records the match
+  // duplicates search_s under the match phase's name so the trajectory
+  // can attribute wins per phase; threads records the match
   // concurrency the record was taken at. max_rss_mb is the process peak
   // RSS (dominated by the largest program's tables at the largest scale),
   // and content_hash folds every program's post-run liveContentHash so
@@ -180,11 +178,10 @@ int main(int argc, char **argv) {
               "\"programs\": %zu, \"timeouts\": %zu, \"threads\": %u, "
               "\"scale\": %.3f, "
               "\"search_s\": %.6f, \"match_s\": %.6f, \"apply_s\": %.6f, "
-              "\"apply_stage_s\": %.6f, \"rebuild_s\": %.6f, "
-              "\"rebuild_gather_s\": %.6f, \"total_s\": %.6f, "
+              "\"rebuild_s\": %.6f, \"total_s\": %.6f, "
               "\"max_rss_mb\": %.1f, \"content_hash\": \"%" PRIx64 "\"}\n",
               Suite.size(), Timeouts[4], Threads, Scale, EgglogSearch,
-              EgglogSearch, EgglogApply, EgglogApplyStage, EgglogRebuild,
-              EgglogRebuildGather, EgglogTotal, maxRssMb(), ContentHash);
+              EgglogSearch, EgglogApply, EgglogRebuild, EgglogTotal,
+              maxRssMb(), ContentHash);
   return 0;
 }

@@ -6,7 +6,6 @@
 
 #include "core/Engine.h"
 
-#include "core/ApplyStage.h"
 #include "core/Query.h"
 #include "support/FailPoints.h"
 #include "support/ThreadPool.h"
@@ -15,7 +14,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <optional>
 #include <thread>
 
 using namespace egglog;
@@ -35,7 +33,7 @@ void Engine::setThreads(unsigned N) {
   unsigned Hardware = std::thread::hardware_concurrency();
   unsigned Cap = std::max(8u, 4 * Hardware); // hardware_concurrency may be 0
   NumThreads = std::clamp(N, 1u, std::min(Cap, 256u));
-  // A differently-sized pool is recreated lazily by the next parallel run.
+  // A differently-sized pool is recreated lazily by the next run.
   if (Pool && Pool->threads() != NumThreads)
     Pool.reset();
 }
@@ -69,6 +67,9 @@ bool queryIsParallelSafe(const EGraph &G, const Query &Q) {
   return true;
 }
 
+/// The full (non-incremental) search's filters: every atom unrestricted.
+const std::vector<AtomFilter> NoFilters;
+
 } // namespace
 
 void Engine::ensureVariantExecutors() {
@@ -78,19 +79,14 @@ void Engine::ensureVariantExecutors() {
   VariantExecutors.reserve(Rules.size());
   RuleParallelSafe.clear();
   RuleParallelSafe.reserve(Rules.size());
-  RuleStageSafe.clear();
-  RuleStageSafe.reserve(Rules.size());
   for (const Rule &R : Rules) {
-    // One context per semi-naïve delta variant; slot 0 doubles as the
-    // non-incremental (full) context, so a rule always has at least one.
-    size_t NumVariants = std::max<size_t>(1, R.Body.Atoms.size());
-    std::vector<std::unique_ptr<QueryExecutor>> Variants;
-    Variants.reserve(NumVariants);
-    for (size_t V = 0; V < NumVariants; ++V)
-      Variants.push_back(std::make_unique<QueryExecutor>(Graph, R.Body));
+    // A rule always has slot 0, the full search's context.
+    size_t NumAtoms = R.Body.Atoms.size();
+    std::vector<Variant> Variants(std::max<size_t>(1, NumAtoms));
+    for (size_t V = 0; V < NumAtoms; ++V)
+      makeDeltaVariantFilters(Variants[V].Filters, V, NumAtoms);
     VariantExecutors.push_back(std::move(Variants));
     RuleParallelSafe.push_back(queryIsParallelSafe(Graph, R.Body));
-    RuleStageSafe.push_back(actionsAreStageSafe(Graph, R));
   }
 }
 
@@ -174,30 +170,18 @@ RunReport Engine::run(const RunOptions &Options) {
   // (Re)create the execution contexts if rules were added since the last
   // run (Rules may have reallocated, invalidating the Query references
   // the executors hold; a size mismatch is the only way that happens —
-  // restore() clears both sets outright). Each mode validates only its
-  // own contexts, so a parallel-only session never builds the serial
-  // per-rule executors and alternating modes doesn't thrash either set.
-  const bool Parallel = NumThreads > 1;
-  if (!Parallel && Executors.size() != Rules.size()) {
-    Executors.clear();
-    Executors.reserve(Rules.size());
-    for (const Rule &R : Rules)
-      Executors.push_back(std::make_unique<QueryExecutor>(Graph, R.Body));
-  }
-  if (Parallel) {
-    ensureVariantExecutors();
-    if (!Pool)
-      Pool = std::make_unique<ThreadPool>(NumThreads);
-  }
+  // restore() clears them outright).
+  ensureVariantExecutors();
+  if (!Pool)
+    Pool = std::make_unique<ThreadPool>(NumThreads);
+  // The one thread-count branch: whether the match items fan out read-only
+  // over the pool or run in order through the lazily refreshing path.
+  const bool FanOut = Pool->threads() > 1;
 
   // Top-level unions between runs leave the database non-canonical; queries
   // require canonical form.
-  if (Graph.needsRebuild()) {
-    if (Parallel)
-      Graph.rebuildParallel(*Pool);
-    else
-      Graph.rebuild();
-  }
+  if (Graph.needsRebuild())
+    Graph.rebuild();
   if (Graph.failed()) {
     Report.TotalSeconds = Total.seconds();
     return Report;
@@ -222,6 +206,13 @@ RunReport Engine::run(const RunOptions &Options) {
     IterationStats Stats;
     Timer Phase;
     EGGLOG_FAILPOINT("engine.iter");
+    // Ends the run mid-iteration (governor trip, timeout, database failure)
+    // with this iteration's partial stats on record.
+    auto StopHere = [&] {
+      Report.Iterations.push_back(Stats);
+      Report.TotalSeconds = Total.seconds();
+      return Report;
+    };
 
     auto TimedOutNow = [&] {
       return Options.TimeoutSeconds > 0 &&
@@ -236,324 +227,198 @@ RunReport Engine::run(const RunOptions &Options) {
                  : UINT64_MAX;
     };
 
-    //=== Match phase: collect matches for every runnable rule. ============
-    // Matches are collected into flat arenas (NumVars values per match),
-    // one chunk per rule in serial mode and one per (rule, delta variant)
-    // in parallel mode; either way the apply phase drains them in (rule
-    // declaration, variant, match) order, so the database mutation order —
-    // and with it every fresh id and liveContentHash — is independent of
-    // the thread count. Rules outside the selected ruleset are skipped
-    // entirely; their DeltaStart stays put, so when their ruleset next
-    // runs, the delta covers everything that happened in between (phased
-    // schedules stay semi-naïve-correct).
-    struct MatchChunk {
+    //=== Match phase: one work item per (rule, delta variant). ============
+    // Each item collects its matches into a flat arena (NumVars values per
+    // match); the apply phase drains the items in (rule declaration,
+    // variant, match) order, so the database mutation order — and with it
+    // every fresh id and liveContentHash — is independent of the thread
+    // count. Rules outside the selected ruleset are skipped entirely;
+    // their DeltaStart stays put, so when their ruleset next runs, the
+    // delta covers everything that happened in between (phased schedules
+    // stay semi-naïve-correct).
+    struct WorkItem {
       size_t Rule = 0;
+      QueryExecutor *Exec = nullptr;
+      /// Per-atom delta restriction; empty = unrestricted (the full,
+      /// non-incremental search).
+      const std::vector<AtomFilter> *Filters = &NoFilters;
+      uint32_t Bound = 0;
       std::vector<Value> Arena;
       size_t Count = 0;
+      /// Share of Count already added to the rule's shared counter (for
+      /// cross-variant BackOff cancellation).
+      uint64_t Published = 0;
     };
-    std::vector<MatchChunk> Chunks;
+    std::vector<WorkItem> Items; // (rule, variant) ascending
+    Items.reserve(Rules.size());
     bool AnyBanned = false;
-    bool SearchTimedOut = false;
-
-    if (!Parallel) {
-      // The classic serial loop: search and bookkeeping interleaved per
-      // rule, lazily refreshing table indexes on the way.
-      Chunks.reserve(Rules.size());
-      for (size_t R = 0; R < Rules.size(); ++R) {
-        if (Rules[R].Ruleset != Options.Ruleset)
-          continue;
-        RuleState &State = States[R];
-        if (Options.UseBackoff && GlobalIteration < State.BannedUntil) {
-          AnyBanned = true;
-          continue;
-        }
-        const Query &Body = Rules[R].Body;
-        Chunks.emplace_back();
-        MatchChunk &Chunk = Chunks.back();
-        Chunk.Rule = R;
-
-        uint64_t Threshold = RuleThreshold(R);
-        std::function<bool()> Cancel = [&] {
-          EGGLOG_FAILPOINT("match.step");
-          return TimedOutNow() || Chunk.Count > Threshold ||
-                 Gov.pollQuick() != GovernorVerdict::Ok;
-        };
-        bool Incremental = Options.SemiNaive && State.DeltaStart > 0 &&
-                           !Body.Atoms.empty();
-        if (!Incremental) {
-          Executors[R]->executeCollect({}, 0, Chunk.Arena, Chunk.Count,
-                                       Options.GenericJoin, &Cancel);
-        } else {
-          // One delta variant per atom (§4.3), all sharing the rule's
-          // persistent execution context and the cached table indexes.
-          Executors[R]->executeDeltaCollect(State.DeltaStart, Chunk.Arena,
-                                            Chunk.Count, Options.GenericJoin,
-                                            &Cancel);
-        }
-        if (TimedOutNow()) {
-          SearchTimedOut = true;
-          break;
-        }
-
-        // BackOff scheduling: drop matches and ban the rule if it exceeded
-        // its (exponentially growing) threshold. The rule's DeltaStart is
-        // left untouched so the dropped work is re-derived after the ban.
-        if (Chunk.Count > Threshold) {
-          uint64_t BanSpan = Options.BackoffBanLength << State.TimesBanned;
-          State.BannedUntil = GlobalIteration + BanSpan;
-          ++State.TimesBanned;
-          AnyBanned = true;
-          Chunks.pop_back();
-          continue;
-        }
-        State.DeltaStart = Graph.timestamp() + 1;
-        Stats.Matches += Chunk.Count;
+    for (size_t R = 0; R < Rules.size(); ++R) {
+      if (Rules[R].Ruleset != Options.Ruleset)
+        continue;
+      RuleState &State = States[R];
+      if (Options.UseBackoff && GlobalIteration < State.BannedUntil) {
+        AnyBanned = true;
+        continue;
       }
-    } else {
-      //--- Warm-up: hoist every lazy mutation off the read path. ---------
-      // After this pre-pass the database is untouched until apply: tables
-      // catch their occurrence indexes up, and each work item's warm()
-      // builds/refreshes the column indexes and partition counts its
-      // read-only execution will peek at, and canonicalizes its query
-      // constants.
-      Graph.warm();
-      struct WorkItem {
-        size_t Rule = 0;
-        QueryExecutor *Exec = nullptr;
-        /// Per-atom delta restriction; empty = unrestricted (the full,
-        /// non-incremental search).
-        std::vector<AtomFilter> Filters;
-        uint32_t Bound = 0;
-        std::vector<Value> Arena;
-        size_t Count = 0;
-        /// Share of Count already added to the rule's shared counter (for
-        /// cross-variant BackOff cancellation).
-        uint64_t Published = 0;
-      };
-      std::vector<WorkItem> Items; // (rule, variant) ascending
-      for (size_t R = 0; R < Rules.size(); ++R) {
-        if (Rules[R].Ruleset != Options.Ruleset)
-          continue;
-        RuleState &State = States[R];
-        if (Options.UseBackoff && GlobalIteration < State.BannedUntil) {
-          AnyBanned = true;
-          continue;
+      const Query &Body = Rules[R].Body;
+      // One delta variant per atom (§4.3), or the single full search.
+      bool Incremental =
+          Options.SemiNaive && State.DeltaStart > 0 && !Body.Atoms.empty();
+      size_t NumVariants = Incremental ? Body.Atoms.size() : 1;
+      for (size_t V = 0; V < NumVariants; ++V) {
+        WorkItem Item;
+        Item.Rule = R;
+        // Concurrent variants need private join scratch; at one thread a
+        // rule's variants run back to back and share slot 0.
+        std::unique_ptr<QueryExecutor> &Exec =
+            VariantExecutors[R][FanOut ? V : 0].Exec;
+        if (!Exec)
+          Exec = std::make_unique<QueryExecutor>(Graph, Body);
+        Item.Exec = Exec.get();
+        if (Incremental) {
+          Item.Bound = State.DeltaStart;
+          Item.Filters = &VariantExecutors[R][V].Filters;
         }
-        const Query &Body = Rules[R].Body;
-        bool Incremental = Options.SemiNaive && State.DeltaStart > 0 &&
-                           !Body.Atoms.empty();
-        size_t NumVariants = Incremental ? Body.Atoms.size() : 1;
-        for (size_t V = 0; V < NumVariants; ++V) {
-          WorkItem Item;
-          Item.Rule = R;
-          Item.Exec = VariantExecutors[R][V].get();
-          if (Incremental) {
-            Item.Bound = State.DeltaStart;
-            makeDeltaVariantFilters(Item.Filters, V, Body.Atoms.size());
-          }
-          Items.push_back(std::move(Item));
-        }
-      }
-      // Only items headed for the read-only fan-out need warming: the
-      // serial prelude's executeCollect performs the same (mutating)
-      // materialize itself.
-      for (WorkItem &Item : Items)
-        if (RuleParallelSafe[Item.Rule])
-          Item.Exec->warm(Item.Filters, Item.Bound);
-      Stats.WarmSeconds = Phase.seconds();
-
-      //--- Match: serial prelude, then the fan-out. ----------------------
-      auto RuleCounts =
-          std::make_unique<std::atomic<uint64_t>[]>(Rules.size());
-      auto RunItem = [&](WorkItem &Item, bool ReadOnlyPath) {
-        uint64_t Threshold = RuleThreshold(Item.Rule);
-        std::function<bool()> Cancel = [&Item, &RuleCounts, &TimedOutNow,
-                                        &Gov, Threshold] {
-          EGGLOG_FAILPOINT("match.step");
-          if (TimedOutNow() || Gov.pollQuick() != GovernorVerdict::Ok)
-            return true;
-          if (Threshold == UINT64_MAX)
-            return false;
-          // Publish this variant's progress so sibling variants of an
-          // over-matching rule abort too. The ban decision stays
-          // deterministic: an abort fires only once the published total
-          // exceeds the threshold, and then the final total — published
-          // counts only ever grow — exceeds it as well.
-          uint64_t Unpublished = Item.Count - Item.Published;
-          if (Unpublished) {
-            RuleCounts[Item.Rule].fetch_add(Unpublished,
-                                            std::memory_order_relaxed);
-            Item.Published = Item.Count;
-          }
-          return RuleCounts[Item.Rule].load(std::memory_order_relaxed) >
-                 Threshold;
-        };
-        if (ReadOnlyPath)
-          Item.Exec->executeCollectReadOnly(Item.Filters, Item.Bound,
-                                            Item.Arena, Item.Count,
-                                            Options.GenericJoin, &Cancel);
-        else
-          Item.Exec->executeCollect(Item.Filters, Item.Bound, Item.Arena,
-                                    Item.Count, Options.GenericJoin,
-                                    &Cancel);
-      };
-      // Serial prelude: rules whose query primitives may intern values or
-      // canonicalize ids (see queryIsParallelSafe) mutate structures the
-      // read-only workers read, so they run here first, on this thread, in
-      // declaration order — which also keeps their interning order
-      // deterministic.
-      for (WorkItem &Item : Items)
-        if (!RuleParallelSafe[Item.Rule])
-          RunItem(Item, /*ReadOnlyPath=*/false);
-      std::vector<size_t> ParallelItems;
-      ParallelItems.reserve(Items.size());
-      for (size_t I = 0; I < Items.size(); ++I)
-        if (RuleParallelSafe[Items[I].Rule])
-          ParallelItems.push_back(I);
-      Pool->parallelFor(
-          ParallelItems.size(),
-          [&](size_t K) {
-            RunItem(Items[ParallelItems[K]], /*ReadOnlyPath=*/true);
-          },
-          "match");
-
-      if (TimedOutNow()) {
-        SearchTimedOut = true;
-      } else {
-        // Per-rule totals drive BackOff and the semi-naïve bookkeeping
-        // exactly as the serial loop does.
-        std::vector<uint64_t> RuleTotal(Rules.size(), 0);
-        std::vector<char> RuleRan(Rules.size(), 0);
-        for (const WorkItem &Item : Items) {
-          RuleTotal[Item.Rule] += Item.Count;
-          RuleRan[Item.Rule] = 1;
-        }
-        std::vector<char> RuleDropped(Rules.size(), 0);
-        for (size_t R = 0; R < Rules.size(); ++R) {
-          if (!RuleRan[R])
-            continue;
-          RuleState &State = States[R];
-          if (RuleTotal[R] > RuleThreshold(R)) {
-            uint64_t BanSpan = Options.BackoffBanLength << State.TimesBanned;
-            State.BannedUntil = GlobalIteration + BanSpan;
-            ++State.TimesBanned;
-            AnyBanned = true;
-            RuleDropped[R] = 1;
-            continue;
-          }
-          State.DeltaStart = Graph.timestamp() + 1;
-          Stats.Matches += RuleTotal[R];
-        }
-        Chunks.reserve(Items.size());
-        for (WorkItem &Item : Items) {
-          if (RuleDropped[Item.Rule])
-            continue;
-          Chunks.push_back(
-              MatchChunk{Item.Rule, std::move(Item.Arena), Item.Count});
-        }
+        Items.push_back(std::move(Item));
       }
     }
+
+    // Per-rule match totals shared by the rule's variants. Publish adds an
+    // item's not yet counted matches and returns the rule's total so far.
+    auto RuleCounts = std::make_unique<std::atomic<uint64_t>[]>(Rules.size());
+    auto Publish = [&](WorkItem &Item) {
+      uint64_t Unpublished = Item.Count - Item.Published;
+      Item.Published = Item.Count;
+      return RuleCounts[Item.Rule].fetch_add(Unpublished,
+                                             std::memory_order_relaxed) +
+             Unpublished;
+    };
+    auto ItemCancelled = [&](WorkItem &Item) {
+      EGGLOG_FAILPOINT("match.step");
+      if (TimedOutNow() || Gov.pollQuick() != GovernorVerdict::Ok)
+        return true;
+      // Sibling variants of an over-matching rule abort too. The ban
+      // decision stays deterministic: an abort fires only once the
+      // published total exceeds the threshold, and then the final total —
+      // published counts only ever grow — exceeds it as well.
+      uint64_t Threshold = RuleThreshold(Item.Rule);
+      return Threshold != UINT64_MAX && Publish(Item) > Threshold;
+    };
+    auto RunItem = [&](WorkItem &Item, bool ReadOnlyPath) {
+      uint64_t Threshold = RuleThreshold(Item.Rule);
+      // Out of time, or a sibling variant already pushed the rule over its
+      // BackOff threshold (its matches are dropped anyway): skip the item.
+      if (TimedOutNow() ||
+          RuleCounts[Item.Rule].load(std::memory_order_relaxed) > Threshold)
+        return;
+      // Two references: small enough for std::function's inline storage.
+      std::function<bool()> Cancel = [&Item, &ItemCancelled] {
+        return ItemCancelled(Item);
+      };
+      if (ReadOnlyPath)
+        Item.Exec->executeCollectReadOnly(*Item.Filters, Item.Bound,
+                                          Item.Arena, Item.Count,
+                                          Options.GenericJoin, &Cancel);
+      else
+        Item.Exec->executeCollect(*Item.Filters, Item.Bound, Item.Arena,
+                                  Item.Count, Options.GenericJoin, &Cancel);
+      // Publish the remainder, so a later sibling variant of an
+      // over-matching rule is skipped outright; once the rule is over its
+      // threshold its matches will be dropped, so free them now (Count
+      // stays for the ban decision).
+      if (Publish(Item) > Threshold)
+        std::vector<Value>().swap(Item.Arena);
+    };
+
+    if (FanOut) {
+      // Warm-up: hoist every lazy mutation off the read path. Each
+      // fanned-out item's warm() builds/refreshes the column indexes and
+      // partition counts its read-only execution will peek at, and
+      // canonicalizes its query constants; after this the database is
+      // untouched until apply.
+      for (WorkItem &Item : Items)
+        if (RuleParallelSafe[Item.Rule])
+          Item.Exec->warm(*Item.Filters, Item.Bound);
+      Stats.WarmSeconds = Phase.seconds();
+    }
+    // Serial prelude: rules whose query primitives may intern values or
+    // canonicalize ids (see queryIsParallelSafe) mutate structures the
+    // read-only workers read, so they run here first, on this thread, in
+    // declaration order — which also keeps their interning order
+    // deterministic. At one thread every item goes to the pool, which runs
+    // them inline and in order through the lazily refreshing path.
+    std::vector<size_t> PoolItems;
+    PoolItems.reserve(Items.size());
+    for (size_t I = 0; I < Items.size(); ++I) {
+      if (!FanOut || RuleParallelSafe[Items[I].Rule])
+        PoolItems.push_back(I);
+      else
+        RunItem(Items[I], /*ReadOnlyPath=*/false);
+    }
+    Pool->parallelFor(PoolItems.size(), [&](size_t K) {
+      RunItem(Items[PoolItems[K]], FanOut);
+    });
     Stats.SearchSeconds = Phase.seconds();
     // Governor trips are hard stops (ErrKind::Limit, command rolls back),
     // unlike the legacy RunOptions timeout below, which is a graceful
     // partial-result stop at iteration granularity.
-    if (Graph.governorTripped()) {
-      Report.Iterations.push_back(Stats);
-      Report.TotalSeconds = Total.seconds();
-      return Report;
-    }
-    if (SearchTimedOut) {
+    if (Graph.governorTripped())
+      return StopHere();
+    if (TimedOutNow()) {
       Report.TimedOut = true;
-      Report.Iterations.push_back(Stats);
-      Report.TotalSeconds = Total.seconds();
-      return Report;
+      return StopHere();
     }
 
-    //=== Apply phase: run the actions of all collected matches, chunk by
-    //=== chunk in the deterministic (rule, variant, match) order. =========
-    Phase.reset();
-    Graph.bumpTimestamp();
-    std::vector<char> UseStaged(Chunks.size(), 0);
-    std::vector<StagedChunk> Staged;
-    if (Parallel) {
-      //--- Stage: fan the read-only half of apply out over the pool. -----
-      // Each stage-safe chunk's action walking, primitive evaluation, and
-      // frozen table probes run concurrently, emitting an op list the
-      // serial tail below replays; the database itself is untouched until
-      // that tail (see core/ApplyStage.h for the determinism argument).
-      Staged.resize(Chunks.size());
-      std::vector<size_t> StageItems;
-      for (size_t C = 0; C < Chunks.size(); ++C)
-        if (RuleStageSafe[Chunks[C].Rule] && Chunks[C].Count > 0)
-          StageItems.push_back(C);
-      std::atomic<bool> StageStop{false};
-      Pool->parallelFor(
-          StageItems.size(),
-          [&](size_t K) {
-            size_t C = StageItems[K];
-            MatchChunk &Chunk = Chunks[C];
-            std::function<bool()> Cancel = [&] {
-              EGGLOG_FAILPOINT("apply.partition");
-              if (StageStop.load(std::memory_order_relaxed))
-                return true;
-              if (Gov.pollQuick() != GovernorVerdict::Ok) {
-                StageStop.store(true, std::memory_order_relaxed);
-                return true;
-              }
-              return false;
-            };
-            UseStaged[C] =
-                stageChunkActions(Graph, Rules[Chunk.Rule],
-                                  Chunk.Arena.data(), Chunk.Count,
-                                  Staged[C], &Cancel);
-          },
-          "apply.stage");
-      Stats.ApplyStageSeconds = Phase.seconds();
-      if (Graph.governorTripped()) {
-        Report.Iterations.push_back(Stats);
-        Report.TotalSeconds = Total.seconds();
-        return Report;
-      }
+    // Per-rule totals drive BackOff and the semi-naïve bookkeeping. A
+    // rule over its threshold has its matches dropped and is banned; its
+    // DeltaStart is left untouched so the dropped work is re-derived
+    // after the ban.
+    std::vector<uint64_t> RuleTotal(Rules.size(), 0);
+    std::vector<char> RuleRan(Rules.size(), 0);
+    for (const WorkItem &Item : Items) {
+      RuleTotal[Item.Rule] += Item.Count;
+      RuleRan[Item.Rule] = 1;
     }
-    //--- Serial tail: the only phase that mutates the database. ----------
-    // Chunks drain in the same order either way; a staged chunk replays
-    // its op list (validating every frozen probe against the unions done
-    // since the freeze), the rest run the classic per-match loop at their
-    // position. Thread count therefore cannot change mutation order.
-    // (The dirty tracker's bitmap is sized to the union-find, so serial
-    // mode — which never consults it — skips building one.)
-    std::optional<PhaseDirty> ApplyDirty;
-    if (Parallel)
-      ApplyDirty.emplace(Graph.unionFind());
-    std::vector<Value> Env, Resolved, Scratch;
-    for (size_t C = 0; C < Chunks.size(); ++C) {
-      MatchChunk &Chunk = Chunks[C];
-      const Rule &TheRule = Rules[Chunk.Rule];
-      if (UseStaged[C]) {
-        if (!drainStagedChunk(Graph, Staged[C], *ApplyDirty, Resolved,
-                              Scratch)) {
-          Report.Iterations.push_back(Stats);
-          Report.TotalSeconds = Total.seconds();
-          return Report;
-        }
+    std::vector<char> RuleDropped(Rules.size(), 0);
+    for (size_t R = 0; R < Rules.size(); ++R) {
+      if (!RuleRan[R])
+        continue;
+      RuleState &State = States[R];
+      if (RuleTotal[R] > RuleThreshold(R)) {
+        uint64_t BanSpan = Options.BackoffBanLength << State.TimesBanned;
+        State.BannedUntil = GlobalIteration + BanSpan;
+        ++State.TimesBanned;
+        AnyBanned = true;
+        RuleDropped[R] = 1;
         continue;
       }
+      State.DeltaStart = Graph.timestamp() + 1;
+      Stats.Matches += RuleTotal[R];
+    }
+    for (WorkItem &Item : Items)
+      if (RuleDropped[Item.Rule])
+        std::vector<Value>().swap(Item.Arena);
+
+    //=== Apply phase: the only phase that mutates the database. ===========
+    // Items drain in (rule, variant, match) order whatever the thread
+    // count, so mutation order cannot depend on it.
+    Phase.reset();
+    Graph.bumpTimestamp();
+    std::vector<Value> Env;
+    for (const WorkItem &Item : Items) {
+      if (RuleDropped[Item.Rule])
+        continue;
+      const Rule &TheRule = Rules[Item.Rule];
       size_t Stride = TheRule.Body.NumVars;
-      for (size_t M = 0; M < Chunk.Count; ++M) {
-        if (!Graph.governorCheckpoint("apply.match")) {
-          Report.Iterations.push_back(Stats);
-          Report.TotalSeconds = Total.seconds();
-          return Report;
-        }
-        const Value *Match = Chunk.Arena.data() + M * Stride;
+      for (size_t M = 0; M < Item.Count; ++M) {
+        if (!Graph.governorCheckpoint("apply.match"))
+          return StopHere();
+        const Value *Match = Item.Arena.data() + M * Stride;
         Env.assign(Match, Match + Stride);
         Env.resize(TheRule.NumSlots);
         if (!Graph.runActions(TheRule.Actions, Env)) {
-          if (Graph.failed()) {
-            Report.TotalSeconds = Total.seconds();
-            Report.Iterations.push_back(Stats);
-            return Report;
-          }
+          if (Graph.failed())
+            return StopHere();
           // A failed action (e.g. primitive failure) only abandons this
           // match, mirroring guarded rewrites.
           Graph.clearError();
@@ -564,15 +429,10 @@ RunReport Engine::run(const RunOptions &Options) {
 
     //=== Rebuild phase: restore congruence and canonical form. ============
     Phase.reset();
-    Stats.RebuildPasses =
-        Parallel ? Graph.rebuildParallel(*Pool, &Stats.RebuildGatherSeconds)
-                 : Graph.rebuild();
+    Stats.RebuildPasses = Graph.rebuild();
     Stats.RebuildSeconds = Phase.seconds();
-    if (Graph.failed()) {
-      Report.Iterations.push_back(Stats);
-      Report.TotalSeconds = Total.seconds();
-      return Report;
-    }
+    if (Graph.failed())
+      return StopHere();
 
     Stats.TuplesAfter = Graph.liveTupleCount();
     Stats.UnionsAfter = Graph.unionFind().unionCount();
@@ -831,10 +691,8 @@ void Engine::restore(const Snapshot &S) {
          "snapshot is from a different engine");
   // Executors reference Query objects inside Rules; drop them before the
   // rules so the next run() rebuilds fresh contexts.
-  Executors.clear();
   VariantExecutors.clear();
   RuleParallelSafe.clear();
-  RuleStageSafe.clear();
   Rules.resize(S.NumRules);
   States = S.States;
   for (size_t Id = RulesetNames.size(); Id > S.NumRulesets; --Id)

@@ -66,26 +66,19 @@ struct IterationStats {
   size_t Matches = 0;
   size_t TuplesAfter = 0;
   size_t UnionsAfter = 0;
-  /// Whole match phase. In the phase-separated parallel mode this covers
-  /// warm-up plus the fanned-out matching (so the figure stays comparable
-  /// with the single-threaded loop, where the same cache refreshes happen
-  /// inline); WarmSeconds below breaks out the warm-up share.
+  /// Whole match phase, including the warm-up pre-pass when matching fans
+  /// out (so the figure stays comparable with the single-threaded run,
+  /// where the same cache refreshes happen inline); WarmSeconds below
+  /// breaks out the warm-up share.
   double SearchSeconds = 0;
-  /// Whole apply phase (staging plus the serial mutation tail in parallel
-  /// mode; the classic loop when single-threaded).
   double ApplySeconds = 0;
-  /// Parallel mode only: the read-only staging share of ApplySeconds
-  /// (fanned-out action walking, primitive evaluation, and frozen table
-  /// probes). Always 0 single-threaded.
+  /// Always 0: apply runs serially. Kept so existing stats records keep
+  /// their field.
   double ApplyStageSeconds = 0;
   double RebuildSeconds = 0;
-  /// Parallel mode only: the read-only share of RebuildSeconds (per-table
-  /// occurrence catch-up plus the frozen canonical-image gather). Always 0
-  /// single-threaded.
-  double RebuildGatherSeconds = 0;
-  /// Warm-up pre-pass of the phase-separated pipeline (index cache
-  /// refresh, occurrence catch-up, constant canonicalization); always 0
-  /// in single-threaded mode, where that work is folded into the search.
+  /// Warm-up pre-pass of a fanned-out match phase (index cache refresh and
+  /// constant canonicalization); always 0 single-threaded, where that work
+  /// is folded into the search.
   double WarmSeconds = 0;
   /// Worklist passes the rebuild took (0 = nothing was dirty).
   unsigned RebuildPasses = 0;
@@ -117,12 +110,12 @@ public:
   explicit Engine(EGraph &Graph);
   ~Engine();
 
-  /// Sets the match-phase concurrency. 1 (the default) keeps the classic
-  /// serial search loop; N > 1 phase-separates every iteration into
-  /// warm-up / parallel match / serial apply (see DESIGN.md "Match/apply
-  /// phase separation") with N workers including the calling thread. The
-  /// resulting database is bit-identical for every N — matches are
-  /// buffered per (rule, delta-variant) and applied in declaration order.
+  /// Sets the match-phase concurrency: with N > 1, each iteration's match
+  /// work items fan out over N workers (including the calling thread)
+  /// after a serial warm-up; apply and rebuild stay serial (see DESIGN.md
+  /// "Parallel matching"). The resulting database is bit-identical for
+  /// every N — matches are buffered per (rule, delta variant) and applied
+  /// in declaration order.
   void setThreads(unsigned N);
   unsigned threads() const { return NumThreads; }
 
@@ -200,30 +193,28 @@ private:
   std::vector<RuleState> States;
   std::vector<std::string> RulesetNames;
   std::unordered_map<std::string, RulesetId> RulesetIds;
-  /// One persistent execution context per rule, so join scratch and atom
-  /// shapes survive across delta variants and iterations. Rebuilt by run()
-  /// whenever rules were added (Rules may have reallocated).
-  std::vector<std::unique_ptr<QueryExecutor>> Executors;
-
   /// Match-phase concurrency (see setThreads).
   unsigned NumThreads = 1;
-  /// Worker pool for the parallel match phase; created lazily by the
-  /// first parallel run and kept across runs (threads park between
-  /// phases).
+  /// Worker pool for the match phase; created lazily by the first run and
+  /// kept across runs (threads park between phases). A pool of one thread
+  /// spawns none and runs every item inline.
   std::unique_ptr<ThreadPool> Pool;
-  /// Parallel mode only: one execution context per (rule, delta variant),
-  /// since a rule's variants run concurrently and each needs its own join
-  /// scratch. Slot 0 doubles as the full (non-incremental) context.
-  /// Invalidated together with Executors.
-  std::vector<std::vector<std::unique_ptr<QueryExecutor>>> VariantExecutors;
+  /// One semi-naïve delta variant of a rule: its per-atom filters and a
+  /// persistent execution context, created on first use, so join scratch
+  /// and atom shapes survive across iterations and a rule's variants can
+  /// run concurrently.
+  struct Variant {
+    std::vector<AtomFilter> Filters;
+    std::unique_ptr<QueryExecutor> Exec;
+  };
+  /// Per rule, one Variant per body atom; slot 0's context doubles as the
+  /// full (non-incremental) search's. Rebuilt by run() whenever rules were
+  /// added (Rules may have reallocated).
+  std::vector<std::vector<Variant>> VariantExecutors;
   /// Per rule: true if every primitive in its query is safe on the
   /// read-only parallel path (cannot intern values or canonicalize);
   /// unsafe rules are matched serially before the fan-out.
   std::vector<char> RuleParallelSafe;
-  /// Per rule: true if its actions can be staged read-only for the
-  /// parallel apply phase (see core/ApplyStage.h); unsafe rules apply
-  /// through the classic serial loop at their chunk's position.
-  std::vector<char> RuleStageSafe;
 
   /// (Re)creates VariantExecutors/RuleParallelSafe for the current rules.
   void ensureVariantExecutors();

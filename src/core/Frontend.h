@@ -87,12 +87,7 @@ public:
     double WarmSeconds = 0;
     double SearchSeconds = 0;
     double ApplySeconds = 0;
-    /// Read-only staging share of ApplySeconds (parallel mode only).
-    double ApplyStageSeconds = 0;
     double RebuildSeconds = 0;
-    /// Read-only catch-up + gather share of RebuildSeconds (parallel mode
-    /// only).
-    double RebuildGatherSeconds = 0;
   };
   const PhaseTotals &phaseTotals() const { return Totals; }
 

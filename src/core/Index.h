@@ -118,7 +118,7 @@ public:
   /// Read-only get(): the cached index for the key if it is fresh at the
   /// table's current version, else nullptr. Never builds, refreshes,
   /// sweeps, or bumps a stats counter, so concurrent match workers can
-  /// probe one cache safely (DESIGN.md "Match/apply phase separation");
+  /// probe one cache safely (DESIGN.md "Parallel matching");
   /// a single-threaded QueryExecutor::warm pass is what populates it.
   const ColumnIndex *peek(const std::vector<unsigned> &Perm,
                           AtomFilter Filter, uint32_t DeltaBound) const;

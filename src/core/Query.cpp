@@ -814,15 +814,6 @@ void QueryExecutor::executeCollect(const std::vector<AtomFilter> &Filters,
   I->execute(Filters, DeltaBound, UseGenericJoin, Cancel);
 }
 
-void QueryExecutor::executeDeltaCollect(uint32_t DeltaBound,
-                                        std::vector<Value> &Arena,
-                                        size_t &Count, bool UseGenericJoin,
-                                        const std::function<bool()> *Cancel) {
-  I->CollectArena = &Arena;
-  I->CollectCount = &Count;
-  I->executeDelta(DeltaBound, UseGenericJoin, Cancel);
-}
-
 void QueryExecutor::warm(const std::vector<AtomFilter> &Filters,
                          uint32_t DeltaBound) {
   I->warm(Filters, DeltaBound);

@@ -69,18 +69,13 @@ public:
                       size_t &Count, bool UseGenericJoin = true,
                       const std::function<bool()> *Cancel = nullptr);
 
-  /// Arena-collecting variant of executeDelta.
-  void executeDeltaCollect(uint32_t DeltaBound, std::vector<Value> &Arena,
-                           size_t &Count, bool UseGenericJoin = true,
-                           const std::function<bool()> *Cancel = nullptr);
-
-  /// Phase-separated engine pre-pass (single-threaded): performs every
-  /// lazy mutation the matching execute of this filter variant would
-  /// otherwise trigger on the read path — index-cache builds and
-  /// refreshes, stamp-partition counts, and re-canonicalization of the
-  /// query's constant terms (cached on the executor) — so that, until the
-  /// database is next mutated, executeCollectReadOnly with the same
-  /// filters touches the database strictly read-only.
+  /// Parallel match warm-up (single-threaded): performs every lazy
+  /// mutation the matching execute of this filter variant would otherwise
+  /// trigger on the read path — index-cache builds and refreshes,
+  /// stamp-partition counts, and re-canonicalization of the query's
+  /// constant terms (cached on the executor) — so that, until the database
+  /// is next mutated, executeCollectReadOnly with the same filters touches
+  /// the database strictly read-only.
   void warm(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound);
 
   /// Strictly read-only executeCollect: probes only the caches a prior

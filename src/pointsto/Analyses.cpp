@@ -127,9 +127,7 @@ AnalysisResult runEgglog(const Program &P, bool SemiNaive,
   for (const IterationStats &Stats : Report.Iterations) {
     Result.SearchSeconds += Stats.SearchSeconds;
     Result.ApplySeconds += Stats.ApplySeconds;
-    Result.ApplyStageSeconds += Stats.ApplyStageSeconds;
     Result.RebuildSeconds += Stats.RebuildSeconds;
-    Result.RebuildGatherSeconds += Stats.RebuildGatherSeconds;
   }
   Result.TimedOut = Report.TimedOut;
   if (Result.TimedOut)

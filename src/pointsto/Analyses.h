@@ -63,13 +63,8 @@ struct AnalysisResult {
   double SearchSeconds = 0;
   /// Seconds spent in the engine's apply phase (egglog systems only).
   double ApplySeconds = 0;
-  /// Read-only staging share of ApplySeconds (multi-threaded runs only).
-  double ApplyStageSeconds = 0;
   /// Seconds spent in the engine's rebuild phase (egglog systems only).
   double RebuildSeconds = 0;
-  /// Read-only catch-up/gather share of RebuildSeconds (multi-threaded
-  /// runs only).
-  double RebuildGatherSeconds = 0;
   /// Order-independent hash of the engine's live database content after
   /// the run (egglog systems only, zero on timeout): the differential
   /// oracle that lets bench artifacts from different commits certify they

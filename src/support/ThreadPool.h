@@ -6,10 +6,10 @@
 ///
 /// \file
 /// A small persistent work-stealing pool for the engine's parallel match
-/// phase (DESIGN.md "Match/apply phase separation"). parallelFor(N, Fn)
-/// deals the item indices [0, N) round-robin over per-worker deques; each
-/// worker drains its own deque from the front and, when empty, steals from
-/// the back of another's. Items are coarse (one whole semi-naïve delta
+/// phase (DESIGN.md "Parallel matching"). parallelFor(N, Fn) deals the item
+/// indices [0, N) round-robin over per-worker deques; each worker drains
+/// its own deque from the front and, when empty, steals from the back of
+/// another's. Items are coarse (one whole semi-naïve delta
 /// variant of one rule), so the per-item locking is noise next to the join
 /// it guards.
 ///
@@ -25,7 +25,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -69,19 +68,11 @@ public:
 
   /// Runs Fn(I) for every I in [0, NumItems), distributed over the pool
   /// and the calling thread; blocks until every item has finished. Item
-  /// order is unspecified — callers must not depend on it.
-  ///
-  /// \p Tag optionally names the job group ("match", "apply.stage",
-  /// "rebuild.gather", ...) for diagnostics: the pool tallies items
-  /// dispatched per tag, and per-phase stats/tests read the tallies back
-  /// via itemsForTag(). Tags must be string literals (stored by pointer
-  /// compare first, then content).
-  void parallelFor(size_t NumItems, const std::function<void(size_t)> &Fn,
-                   const char *Tag = nullptr) {
+  /// order is unspecified — callers must not depend on it — except on
+  /// the inline path (one thread or one item), which runs in index order.
+  void parallelFor(size_t NumItems, const std::function<void(size_t)> &Fn) {
     if (NumItems == 0)
       return;
-    if (Tag)
-      recordTag(Tag, NumItems);
     if (Queues.size() == 1 || NumItems == 1) {
       for (size_t I = 0; I < NumItems; ++I)
         Fn(I);
@@ -120,38 +111,11 @@ public:
     }
   }
 
-  /// Total items ever dispatched under \p Tag (0 for an unknown tag).
-  /// Called between jobs (the pool is not reentrant), so the plain reads
-  /// below never race a recordTag.
-  uint64_t itemsForTag(const char *Tag) const {
-    for (const TagCount &TC : TagCounts)
-      if (TC.Tag == Tag || std::strcmp(TC.Tag, Tag) == 0)
-        return TC.Items;
-    return 0;
-  }
-
 private:
   struct Queue {
     std::mutex M;
     std::deque<size_t> Items;
   };
-
-  /// Per-tag dispatch tallies; tiny (a handful of phase names), so a
-  /// linear scan beats a map.
-  struct TagCount {
-    const char *Tag;
-    uint64_t Items;
-  };
-  std::vector<TagCount> TagCounts;
-
-  void recordTag(const char *Tag, size_t NumItems) {
-    for (TagCount &TC : TagCounts)
-      if (TC.Tag == Tag || std::strcmp(TC.Tag, Tag) == 0) {
-        TC.Items += NumItems;
-        return;
-      }
-    TagCounts.push_back(TagCount{Tag, NumItems});
-  }
 
   /// Pops the next item: own deque front first, then the back of the
   /// nearest non-empty victim (the "stealing" half of work stealing).

@@ -1,20 +1,26 @@
-//===- tests/core/PhaseTest.cpp - Phase-separated engine tests -------------===//
+//===- tests/core/PhaseTest.cpp - Parallel match tests --------------------===//
 //
-// Part of egglog-cpp. The phase-separated match/apply pipeline must be
-// observationally invisible: for any thread count the engine produces a
-// bit-identical database (liveContentHash), because matches are buffered
-// per (rule, delta variant) and applied in declaration order. A randomized
+// Part of egglog-cpp. Fanning the match phase out must be observationally
+// invisible: for any thread count the engine produces a bit-identical
+// database (liveContentHash), because matches are buffered per (rule,
+// delta variant) and applied in declaration order. A randomized
 // differential driver (in the style of RebuildTest.cpp) runs the same
 // union/insert/run/push/pop sequence against engines at threads 1, 2, and
-// 8 and compares after every run; and the warm-up contract — after
-// QueryExecutor::warm, a read-only execution performs no Index build or
-// Table version bump — is checked directly against the index stats.
+// 8 and compares after every run; the shipped Herbie phased schedule and a
+// two-ruleset BackOff schedule over a lattice are compared at threads 1
+// and 4; and the warm-up contract — after QueryExecutor::warm, a read-only
+// execution performs no Index build or Table version bump — is checked
+// directly against the index stats.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Frontend.h"
 #include "core/Query.h"
+#include "herbie/FPExpr.h"
+#include "herbie/Herbie.h"
+#include "herbie/Rules.h"
 #include "support/FailPoints.h"
+#include "support/Rational.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -52,6 +58,41 @@ const char *DeterminismProgram = R"(
   (Join (Leaf 100) (Leaf 101))
   (Join (Join (Leaf 102) (Leaf 103)) (Leaf 104))
 )";
+
+/// Asserts that \p Other ended in exactly the state of \p Base: same live
+/// content, same fresh-id numbering, and the same per-rule scheduler
+/// trajectory (delta frontiers and BackOff bans).
+void expectSameEngineState(Frontend &Base, Frontend &Other) {
+  EGraph &B = Base.graph(), &O = Other.graph();
+  std::string At =
+      " at " + std::to_string(Other.engine().threads()) + " threads";
+  ASSERT_EQ(B.liveTupleCount(), O.liveTupleCount())
+      << "tuple count diverged" << At;
+  ASSERT_EQ(B.unionFind().unionCount(), O.unionFind().unionCount())
+      << "union count diverged" << At;
+  ASSERT_EQ(B.liveContentHash(), O.liveContentHash())
+      << "content diverged" << At;
+  // liveContentHash folds in raw id bits, but also pin the fresh-id
+  // numbering down directly: the union-find must have minted exactly the
+  // same number of ids in the same order.
+  ASSERT_EQ(B.unionFind().size(), O.unionFind().size())
+      << "fresh-id numbering diverged" << At;
+  // The scheduler trajectory must track bit-for-bit too — a dropped or
+  // extra ban would only skew the database several runs later.
+  Engine::Snapshot SB = Base.engine().snapshot();
+  Engine::Snapshot SO = Other.engine().snapshot();
+  ASSERT_EQ(SB.States.size(), SO.States.size());
+  ASSERT_EQ(SB.GlobalIteration, SO.GlobalIteration)
+      << "iteration clock diverged" << At;
+  for (size_t R = 0; R < SB.States.size(); ++R) {
+    ASSERT_EQ(SB.States[R].DeltaStart, SO.States[R].DeltaStart)
+        << "delta frontier of rule " << R << " diverged" << At;
+    ASSERT_EQ(SB.States[R].BannedUntil, SO.States[R].BannedUntil)
+        << "ban span of rule " << R << " diverged" << At;
+    ASSERT_EQ(SB.States[R].TimesBanned, SO.States[R].TimesBanned)
+        << "ban count of rule " << R << " diverged" << At;
+  }
+}
 
 struct TestEngine {
   Frontend F;
@@ -156,43 +197,8 @@ private:
   }
 
   void compareDatabases() {
-    EGraph &Base = Engines[0].F.graph();
-    for (int E = 1; E < 3; ++E) {
-      EGraph &Other = Engines[E].F.graph();
-      ASSERT_EQ(Base.liveTupleCount(), Other.liveTupleCount())
-          << "tuple count diverged at " << Engines[E].F.engine().threads()
-          << " threads";
-      ASSERT_EQ(Base.unionFind().unionCount(),
-                Other.unionFind().unionCount())
-          << "union count diverged at " << Engines[E].F.engine().threads()
-          << " threads";
-      ASSERT_EQ(Base.liveContentHash(), Other.liveContentHash())
-          << "content diverged at " << Engines[E].F.engine().threads()
-          << " threads";
-      // liveContentHash folds in raw id bits, but also pin the fresh-id
-      // numbering down directly: the union-find must have minted exactly
-      // the same number of ids in the same order.
-      ASSERT_EQ(Base.unionFind().size(), Other.unionFind().size())
-          << "fresh-id numbering diverged at "
-          << Engines[E].F.engine().threads() << " threads";
-      // The scheduler trajectory (delta frontiers, BackOff bans) must
-      // track bit-for-bit too — a dropped or extra ban would only skew
-      // the database several runs later.
-      Engine::Snapshot S0 = Engines[0].F.engine().snapshot();
-      Engine::Snapshot SE = Engines[E].F.engine().snapshot();
-      ASSERT_EQ(S0.States.size(), SE.States.size());
-      for (size_t R = 0; R < S0.States.size(); ++R) {
-        ASSERT_EQ(S0.States[R].DeltaStart, SE.States[R].DeltaStart)
-            << "delta frontier of rule " << R << " diverged at "
-            << Engines[E].F.engine().threads() << " threads";
-        ASSERT_EQ(S0.States[R].BannedUntil, SE.States[R].BannedUntil)
-            << "ban span of rule " << R << " diverged at "
-            << Engines[E].F.engine().threads() << " threads";
-        ASSERT_EQ(S0.States[R].TimesBanned, SE.States[R].TimesBanned)
-            << "ban count of rule " << R << " diverged at "
-            << Engines[E].F.engine().threads() << " threads";
-      }
-    }
+    for (int E = 1; E < 3; ++E)
+      expectSameEngineState(Engines[0].F, Engines[E].F);
   }
 
   void compareExtraction() {
@@ -244,6 +250,112 @@ TEST(PhaseDeterminismTest, BackoffBansMatchSerial) {
   }
   EXPECT_EQ(Serial.graph().liveContentHash(), Wide.graph().liveContentHash());
   EXPECT_EQ(Serial.lastRun().totalMatches(), Wide.lastRun().totalMatches());
+}
+
+//===----------------------------------------------------------------------===
+// Schedules and lattices across thread counts
+//===----------------------------------------------------------------------===
+
+/// The shipped Herbie setup for one suite benchmark: the sound program,
+/// the root term, and exact interval seeds for its inputs.
+std::string herbieSetup(const herbie::Benchmark &Bench) {
+  herbie::ExprPtr Root = herbie::parseFPExpr(Bench.Expr);
+  EXPECT_TRUE(Root) << Bench.Name;
+  if (!Root)
+    return "";
+  std::string Text = herbie::herbieProgramText(/*Sound=*/true) +
+                     "\n(define root " + herbie::toEgglogTerm(*Root) + ")\n";
+  auto Bound = [](double D) {
+    Rational R = Rational::fromDouble(D);
+    return "(rational-big \"" + R.numerator().toString() + "\" \"" +
+           R.denominator().toString() + "\")";
+  };
+  for (const herbie::VarRange &Range : Bench.Ranges) {
+    Text += "(set (lo (MVar \"" + Range.Name + "\")) " + Bound(Range.Lo) +
+            ")\n";
+    Text += "(set (hi (MVar \"" + Range.Name + "\")) " + Bound(Range.Hi) +
+            ")\n";
+  }
+  return Text;
+}
+
+TEST(PhaseDeterminismTest, HerbiePhasedScheduleAcrossThreads) {
+  // The shipped two-ruleset Herbie schedule under BackOff: the interval
+  // analyses are lattice (:merge) functions whose Rational-interning
+  // queries take the serial prelude, and (saturate analysis) interleaves
+  // with one-iteration rewrite leaves. Eight phases are enough for the
+  // rewrites to over-match and be banned on every benchmark.
+  for (const char *Name : {"cbrt-add-one", "sum-cancel", "recip-diff"}) {
+    const herbie::Benchmark *Bench = nullptr;
+    for (const herbie::Benchmark &B : herbie::herbieSuite())
+      if (B.Name == Name)
+        Bench = &B;
+    ASSERT_TRUE(Bench) << Name;
+    std::string Setup = herbieSetup(*Bench);
+    Frontend F[2];
+    for (int E = 0; E < 2; ++E) {
+      F[E].engine().setThreads(E == 0 ? 1 : 4);
+      F[E].runOptions().UseBackoff = true;
+      F[E].runOptions().NodeLimit = 60000;
+      ASSERT_TRUE(F[E].execute(Setup)) << Name << ": " << F[E].error();
+      ASSERT_TRUE(F[E].execute(herbie::herbiePhasedSchedule(8)))
+          << Name << ": " << F[E].error();
+    }
+    EXPECT_GT(F[0].lastRun().totalMatches(), 0u) << Name;
+    expectSameEngineState(F[0], F[1]);
+    if (::testing::Test::HasFatalFailure())
+      FAIL() << "diverged on " << Name;
+  }
+}
+
+TEST(PhaseDeterminismTest, BackoffScheduleAcrossThreads) {
+  // Two rulesets under a tiny BackOff limit: (saturate closure) bans its
+  // rules over and over, so the schedule fast-forwards the dead time
+  // (fastForwardBans) between leaves, while the grow leaf stops on its
+  // :until goal. dist is a min-lattice, so merges change outputs without
+  // changing live counts.
+  const char *Program = R"(
+    (ruleset closure)
+    (ruleset grow)
+    (datatype E (Leaf i64) (Join E E))
+    (relation edge (i64 i64))
+    (function dist (i64 i64) i64 :merge (min old new))
+    (rule ((edge x y)) ((set (dist x y) 1)) :ruleset closure)
+    (rule ((= d (dist x y)) (edge y z)) ((set (dist x z) (+ d 1)))
+          :ruleset closure)
+    (rewrite (Join a b) (Join b a) :ruleset grow)
+    (rewrite (Join (Join a b) c) (Join a (Join b c)) :ruleset grow)
+    (rule ((= d (dist x y)) (> d 3)) ((Join (Leaf x) (Leaf d)))
+          :ruleset grow)
+    (Join (Join (Leaf 1) (Leaf 2)) (Join (Leaf 3) (Leaf 4)))
+  )";
+  std::string Edges;
+  for (int I = 0; I < 10; ++I)
+    Edges += "(edge " + std::to_string(I) + " " + std::to_string(I + 1) + ")";
+  const char *Schedule = R"(
+    (run-schedule
+      (saturate closure)
+      (repeat 6 (saturate closure)
+                (run grow 1 :until ((= (Join (Leaf 0) (Leaf 9))
+                                       (Join (Leaf 9) (Leaf 0)))))))
+  )";
+  Frontend F[2];
+  for (int E = 0; E < 2; ++E) {
+    F[E].engine().setThreads(E == 0 ? 1 : 4);
+    F[E].runOptions().UseBackoff = true;
+    F[E].runOptions().BackoffMatchLimit = 4;
+    F[E].runOptions().BackoffBanLength = 3;
+    ASSERT_TRUE(F[E].execute(Program)) << F[E].error();
+    ASSERT_TRUE(F[E].execute(Edges + Schedule)) << F[E].error();
+  }
+  expectSameEngineState(F[0], F[1]);
+  // A chord shortens distances (pure lattice merges), then the schedule
+  // runs again from the rules' saved delta frontiers and bans.
+  for (int E = 0; E < 2; ++E)
+    ASSERT_TRUE(F[E].execute(std::string("(edge 0 8) (edge 8 2)") + Schedule))
+        << F[E].error();
+  expectSameEngineState(F[0], F[1]);
+  EXPECT_TRUE(F[0].execute("(check (= (dist 0 10) 3))")) << F[0].error();
 }
 
 //===----------------------------------------------------------------------===
@@ -412,47 +524,7 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
     EXPECT_EQ(Order[I], I); // inline mode preserves index order
 }
 
-TEST(ThreadPoolTest, TracksItemTalliesPerTag) {
-  ThreadPool Pool(4);
-  Pool.parallelFor(10, [](size_t) {}, "alpha");
-  Pool.parallelFor(5, [](size_t) {}, "beta");
-  Pool.parallelFor(7, [](size_t) {}, "alpha");
-  Pool.parallelFor(9, [](size_t) {}); // untagged jobs are not tallied
-  EXPECT_EQ(Pool.itemsForTag("alpha"), 17u);
-  EXPECT_EQ(Pool.itemsForTag("beta"), 5u);
-  EXPECT_EQ(Pool.itemsForTag("gamma"), 0u);
-  // The inline path (1 worker or 1 item) tallies too.
-  ThreadPool Inline(1);
-  Inline.parallelFor(3, [](size_t) {}, "alpha");
-  EXPECT_EQ(Inline.itemsForTag("alpha"), 3u);
-  Pool.parallelFor(1, [](size_t) {}, "beta");
-  EXPECT_EQ(Pool.itemsForTag("beta"), 6u);
-}
-
 #if EGGLOG_FAILPOINTS_ENABLED
-
-TEST(PhaseDeterminismTest, ParallelApplyAndRebuildPhasesEngage) {
-  // Guard against silent fallback: the determinism tests above would pass
-  // even if staging/gathering never ran (the classic loops are always
-  // correct). Count the failpoint sites inside the parallel loops —
-  // arm(site, 0) tallies hits without ever firing — to prove a 4-thread
-  // run actually stages apply work and gathers rebuild work.
-  struct Disarm {
-    ~Disarm() { failpoints::disarm(); }
-  } Guard;
-  Frontend F;
-  ASSERT_TRUE(F.execute(DeterminismProgram)) << F.error();
-  ASSERT_TRUE(F.execute("(edge 0 1) (edge 1 2) (edge 2 3) (edge 3 0)"))
-      << F.error();
-  F.engine().setThreads(4);
-  failpoints::arm("apply.partition", 0);
-  ASSERT_TRUE(F.execute("(run 3)")) << F.error();
-  EXPECT_GT(failpoints::hits(), 0u) << "no apply chunk was ever staged";
-  failpoints::arm("rebuild.occurrence", 0);
-  ASSERT_TRUE(F.execute("(union (Leaf 100) (Leaf 101)) (run 1)"))
-      << F.error();
-  EXPECT_GT(failpoints::hits(), 0u) << "no parallel rebuild pass ran";
-}
 
 TEST(PhaseDeterminismTest, InjectedFaultMidRunRollsBackAtFourThreads) {
   // A fault injected anywhere inside a 4-thread (run) — match steps,

@@ -1,10 +1,10 @@
 //===- tests/core/SoakTest.cpp - Randomized parallel soak ----------------===//
 //
-// Part of egglog-cpp. A time-bounded randomized soak of the fully parallel
-// pipeline: one frontend executes a random mix of inserts, unions, runs,
+// Part of egglog-cpp. A time-bounded randomized soak of the parallel match
+// phase: one frontend executes a random mix of inserts, unions, runs,
 // push/pop, and extractions while its thread count is re-set between
-// commands ((set-option :threads N) cycling 1/2/4/8), so phase-separated
-// iterations at different widths interleave with context switches. At
+// commands ((set-option :threads N) cycling 1/2/4/8), so iterations that
+// fan matching out at different widths interleave with context switches. At
 // every push/pop boundary the entire command log is replayed into a fresh
 // single-threaded frontend and the live content hashes must agree — the
 // strongest cross-thread check we have, applied at the points where
