@@ -2,7 +2,7 @@
 //
 // Part of egglog-cpp. Google-benchmark microbenchmarks for the design
 // choices DESIGN.md calls out:
-//   * worst-case-optimal generic join vs naive nested-loop join (§5.1),
+//   * the worst-case-optimal generic join on triangle queries (§5.1),
 //   * semi-naïve vs naïve evaluation (§4.3),
 //   * rebuilding cost as unions accumulate (§5.1),
 //   * the core data structures (table, union-find),
@@ -28,11 +28,6 @@
 using namespace egglog;
 
 namespace {
-
-/// --full-rebuild: force every EGraph in this process onto the legacy
-/// full-sweep rebuild, so CI can record incremental-vs-sweep trajectories
-/// as two artifacts of the same binary.
-bool FullRebuildFlag = false;
 
 /// --threads N: match-phase concurrency for the engine-level benchmarks
 /// and the single-line JSON phase record emitted after the run.
@@ -64,7 +59,7 @@ Query triangleQuery(EGraph &G, FunctionId Edge) {
   return Q;
 }
 
-void BM_TriangleJoin(benchmark::State &State, bool GenericJoin) {
+void BM_GenericJoinTriangle(benchmark::State &State) {
   unsigned Nodes = static_cast<unsigned>(State.range(0));
   EGraph G;
   FunctionDecl Decl;
@@ -77,18 +72,9 @@ void BM_TriangleJoin(benchmark::State &State, bool GenericJoin) {
 
   for (auto _ : State) {
     size_t Count = 0;
-    executeQuery(
-        G, Q, {}, 0, [&](const std::vector<Value> &) { ++Count; },
-        GenericJoin);
+    executeQuery(G, Q, [&](const std::vector<Value> &) { ++Count; });
     benchmark::DoNotOptimize(Count);
   }
-}
-
-void BM_GenericJoinTriangle(benchmark::State &State) {
-  BM_TriangleJoin(State, /*GenericJoin=*/true);
-}
-void BM_NestedLoopTriangle(benchmark::State &State) {
-  BM_TriangleJoin(State, /*GenericJoin=*/false);
 }
 
 /// Transitive closure of a long chain: the semi-naïve sweet spot.
@@ -96,7 +82,6 @@ void BM_TransitiveClosure(benchmark::State &State, bool SemiNaive) {
   unsigned Length = static_cast<unsigned>(State.range(0));
   for (auto _ : State) {
     Frontend F;
-    F.graph().setFullRebuild(FullRebuildFlag);
     F.engine().setThreads(ThreadsFlag);
     F.runOptions().SemiNaive = SemiNaive;
     std::string Program = R"(
@@ -125,8 +110,8 @@ void BM_NaiveTC(benchmark::State &State) {
 
 /// Rebuild cost: N terms f(x_i), then union \p Unions of the x_i pairwise
 /// and rebuild. Unions == N/2 is a merge storm (the bulk-sweep fallback);
-/// a small fixed count is the worklist-driven sweet spot, where the old
-/// full sweep still paid O(N) per rebuild.
+/// a small fixed count is the worklist-driven sweet spot, where a full
+/// sweep would still pay O(N) per rebuild.
 void BM_Rebuild(benchmark::State &State, unsigned Unions) {
   unsigned N = static_cast<unsigned>(State.range(0));
   if (Unions == 0)
@@ -134,7 +119,6 @@ void BM_Rebuild(benchmark::State &State, unsigned Unions) {
   for (auto _ : State) {
     State.PauseTiming();
     EGraph G;
-    G.setFullRebuild(FullRebuildFlag);
     SortId S = G.declareSort("T");
     FunctionDecl Decl;
     Decl.Name = "f";
@@ -259,7 +243,6 @@ void BM_RationalNormalize(benchmark::State &State) {
 } // namespace
 
 BENCHMARK(BM_GenericJoinTriangle)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_NestedLoopTriangle)->Arg(64)->Arg(256);
 BENCHMARK(BM_SemiNaiveTC)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK(BM_NaiveTC)->Arg(32)->Arg(64);
 BENCHMARK(BM_RebuildAfterUnions)->Arg(1000)->Arg(10000);
@@ -278,7 +261,6 @@ namespace {
 /// stdout may be carrying --benchmark_format=json output.
 void emitPhaseRecord() {
   Frontend F;
-  F.graph().setFullRebuild(FullRebuildFlag);
   F.engine().setThreads(ThreadsFlag);
   std::string Program = R"(
     (relation edge (i64 i64))
@@ -312,16 +294,12 @@ void emitPhaseRecord() {
 
 } // namespace
 
-// BENCHMARK_MAIN(), plus the --full-rebuild / --threads ablation flags
-// (consumed here; everything else is forwarded to Google Benchmark, e.g.
-// --benchmark_format=json for the CI artifacts).
+// BENCHMARK_MAIN(), plus the --threads flag (consumed here; everything
+// else is forwarded to Google Benchmark, e.g. --benchmark_format=json for
+// the CI artifacts).
 int main(int argc, char **argv) {
   std::vector<char *> Args;
   for (int I = 0; I < argc; ++I) {
-    if (std::string_view(argv[I]) == "--full-rebuild") {
-      FullRebuildFlag = true;
-      continue;
-    }
     if (std::string_view(argv[I]) == "--threads") {
       if (I + 1 >= argc) {
         std::fprintf(stderr, "missing value for --threads\n");

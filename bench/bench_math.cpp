@@ -9,8 +9,7 @@
 // and report e-nodes versus cumulative time per iteration, plus the §5.3
 // headline speedups at the final iteration.
 //
-// Usage: bench_math [iterations] [node_limit] [--full-rebuild]
-//                   [--threads N]
+// Usage: bench_math [iterations] [node_limit] [--threads N]
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,17 +92,12 @@ size_t egglogENodes(Frontend &F) {
   return Total;
 }
 
-/// --full-rebuild: run the egglog systems with the legacy full-sweep
-/// rebuild (ablation; lets one binary produce both trajectories).
-bool FullRebuildFlag = false;
-
 /// --threads N: match-phase concurrency for the egglog systems.
 unsigned ThreadsFlag = 1;
 
 /// Runs the egglog engine (incremental or not).
 Series runEgglog(bool SemiNaive, unsigned Iterations, size_t NodeLimit) {
   Frontend F;
-  F.graph().setFullRebuild(FullRebuildFlag);
   F.engine().setThreads(ThreadsFlag);
   if (!F.execute(bench::mathRulesEgglog()) ||
       !F.execute(bench::mathSeedsEgglog())) {
@@ -141,9 +135,7 @@ Series runEgglog(bool SemiNaive, unsigned Iterations, size_t NodeLimit) {
 int main(int argc, char **argv) {
   std::vector<const char *> Positional;
   for (int I = 1; I < argc; ++I) {
-    if (std::string(argv[I]) == "--full-rebuild") {
-      FullRebuildFlag = true;
-    } else if (std::string(argv[I]) == "--threads") {
+    if (std::string(argv[I]) == "--threads") {
       if (I + 1 >= argc) {
         std::fprintf(stderr, "missing value for --threads\n");
         return 1;
@@ -158,8 +150,8 @@ int main(int argc, char **argv) {
       Positional.size() > 1 ? std::atoll(Positional[1]) : 400000;
 
   std::printf("=== Fig. 7: math micro-benchmark (egg math suite, "
-              "BackOff scheduler, %u iterations%s) ===\n",
-              Iterations, FullRebuildFlag ? ", full-sweep rebuild" : "");
+              "BackOff scheduler, %u iterations) ===\n",
+              Iterations);
 
   Series Egg = runEgg(Iterations, NodeLimit);
   Series NI = runEgglog(/*SemiNaive=*/false, Iterations, NodeLimit);

@@ -306,10 +306,6 @@ Value EGraph::unionValues(Value A, Value B) {
   return Value(A.Sort, Root);
 }
 
-unsigned EGraph::rebuild() {
-  return ForceFullRebuild ? rebuildFullSweep() : rebuildIncremental();
-}
-
 bool EGraph::rewriteRow(FunctionId Func, size_t Row, std::vector<Value> &Buffer,
                         bool &Rewritten) {
   Table &T = *Functions[Func]->Storage;
@@ -325,11 +321,9 @@ bool EGraph::rewriteRow(FunctionId Func, size_t Row, std::vector<Value> &Buffer,
   return setValue(Func, Buffer.data(), Buffer[Width - 1]);
 }
 
-bool EGraph::rebuildTableIncremental(FunctionId Func,
-                                     const std::vector<uint64_t> &Dirty,
-                                     std::vector<uint32_t> &Rows,
-                                     std::vector<Value> &Buffer,
-                                     bool &TableRewritten) {
+bool EGraph::rebuildTable(FunctionId Func, const std::vector<uint64_t> &Dirty,
+                          std::vector<uint32_t> &Rows,
+                          std::vector<Value> &Buffer, bool &TableRewritten) {
   FunctionInfo &Info = *Functions[Func];
   Table &T = *Info.Storage;
   if (!Info.NeedsFullSweep && !T.trackingOccurrences())
@@ -341,7 +335,7 @@ bool EGraph::rebuildTableIncremental(FunctionId Func,
   // affected-row count (over-counted: chains may still hold dead
   // rows): per-id resolution wins only while the affected set is a
   // small fraction of the table. Either way a merge storm degrades to
-  // the old full-rebuild behavior, never below it.
+  // one linear sweep of the table, never below it.
   bool Sweep = Info.NeedsFullSweep || Dirty.size() * 4 > T.liveCount();
   if (!Sweep) {
     size_t Affected = T.occurrenceCount(Dirty);
@@ -389,7 +383,7 @@ bool EGraph::rebuildTableIncremental(FunctionId Func,
   return true;
 }
 
-unsigned EGraph::rebuildIncremental() {
+unsigned EGraph::rebuild() {
   unsigned Passes = 0;
   std::vector<uint64_t> Dirty;
   std::vector<uint32_t> Rows;
@@ -407,49 +401,14 @@ unsigned EGraph::rebuildIncremental() {
     ++Passes;
     for (size_t F = 0; F < Functions.size(); ++F) {
       bool TableRewritten = false;
-      bool Ok = rebuildTableIncremental(static_cast<FunctionId>(F), Dirty,
-                                        Rows, Buffer, TableRewritten);
+      bool Ok = rebuildTable(static_cast<FunctionId>(F), Dirty, Rows, Buffer,
+                             TableRewritten);
       if (TableRewritten)
         Rewritten[F] = true;
       if (!Ok)
         return Passes;
     }
   }
-  UnionsDirty = false;
-  sweepRewrittenIndexes(Rewritten);
-  return Passes;
-}
-
-unsigned EGraph::rebuildFullSweep() {
-  unsigned Passes = 0;
-  std::vector<Value> Buffer;
-  std::vector<bool> Rewritten(Functions.size(), false);
-  bool Changed = true;
-  while (Changed && !Failed) {
-    Changed = false;
-    ++Passes;
-    for (size_t F = 0; F < Functions.size(); ++F) {
-      Table &T = *Functions[F]->Storage;
-      size_t Limit = T.rowCount();
-      for (size_t Row = 0; Row < Limit; ++Row) {
-        if (!T.isLive(Row))
-          continue;
-        if (!governorCheckpoint("rebuild.row"))
-          return Passes;
-        bool RowRewritten = false;
-        if (!rewriteRow(static_cast<FunctionId>(F), Row, Buffer,
-                        RowRewritten))
-          return Passes;
-        if (RowRewritten) {
-          Changed = true;
-          Rewritten[F] = true;
-        }
-      }
-    }
-  }
-  // The sweep restored canonicity without consulting the worklist; drop it
-  // so a later incremental rebuild does not reprocess applied merges.
-  UF.clearDirty();
   UnionsDirty = false;
   sweepRewrittenIndexes(Rewritten);
   return Passes;

@@ -190,19 +190,13 @@ public:
   Value unionValues(Value A, Value B);
 
   /// Restores all invariants: canonical values everywhere, no functional
-  /// dependency violations (§5.1). Incremental by default: drains the
-  /// union-find's dirty worklist and rewrites only the rows reached through
-  /// the tables' occurrence indexes, falling back to a per-table sweep when
-  /// the affected set is a large fraction of the table (or when container
-  /// columns hide ids from the occurrence index). Returns the number of
-  /// worklist passes (0 when nothing was dirty).
+  /// dependency violations (§5.1). Drains the union-find's dirty worklist
+  /// and rewrites only the rows reached through the tables' occurrence
+  /// indexes, falling back to a per-table sweep when the affected set is a
+  /// large fraction of the table (or when container columns hide ids from
+  /// the occurrence index). Returns the number of worklist passes (0 when
+  /// nothing was dirty).
   unsigned rebuild();
-
-  /// Forces rebuild() onto the legacy full-sweep algorithm (every live row
-  /// of every table re-canonicalized per pass). Ablation and differential
-  /// testing only; results are identical, only the cost differs.
-  void setFullRebuild(bool Force) { ForceFullRebuild = Force; }
-  bool fullRebuild() const { return ForceFullRebuild; }
 
   /// True if unions have happened since the last rebuild.
   bool needsRebuild() const { return UnionsDirty; }
@@ -399,7 +393,6 @@ private:
   std::unordered_map<std::string, FunctionId> FunctionNames;
   uint32_t Timestamp = 0;
   bool UnionsDirty = false;
-  bool ForceFullRebuild = false;
   bool Failed = false;
   ErrKind ErrKindValue = ErrKind::None;
   std::string ErrorMsg;
@@ -431,20 +424,14 @@ private:
   /// Canonicalizes a row in place; returns true if anything changed.
   bool canonicalizeRow(Value *Row, unsigned Width);
 
-  /// The two rebuild strategies behind rebuild().
-  unsigned rebuildIncremental();
-  unsigned rebuildFullSweep();
-
-  /// One table's share of an incremental rebuild pass: the sweep
-  /// heuristic, the per-id occurrence drain (or full sweep), and the row
-  /// rewrites. Returns false when the pass must stop (governor checkpoint
-  /// refused or merge failure); \p TableRewritten is set if any row of
-  /// this table was rewritten either way.
-  bool rebuildTableIncremental(FunctionId Func,
-                               const std::vector<uint64_t> &Dirty,
-                               std::vector<uint32_t> &Rows,
-                               std::vector<Value> &Buffer,
-                               bool &TableRewritten);
+  /// One table's share of a rebuild pass: the sweep heuristic, the per-id
+  /// occurrence drain (or full sweep), and the row rewrites. Returns false
+  /// when the pass must stop (governor checkpoint refused or merge
+  /// failure); \p TableRewritten is set if any row of this table was
+  /// rewritten either way.
+  bool rebuildTable(FunctionId Func, const std::vector<uint64_t> &Dirty,
+                    std::vector<uint32_t> &Rows, std::vector<Value> &Buffer,
+                    bool &TableRewritten);
 
   /// Re-canonicalizes one live row (erase + reinsert through the merge
   /// semantics). Sets \p Rewritten if the row was stale; returns false on a

@@ -317,11 +317,10 @@ RunReport Engine::run(const RunOptions &Options) {
       };
       if (ReadOnlyPath)
         Item.Exec->executeCollectReadOnly(*Item.Filters, Item.Bound,
-                                          Item.Arena, Item.Count,
-                                          Options.GenericJoin, &Cancel);
+                                          Item.Arena, Item.Count, &Cancel);
       else
         Item.Exec->executeCollect(*Item.Filters, Item.Bound, Item.Arena,
-                                  Item.Count, Options.GenericJoin, &Cancel);
+                                  Item.Count, &Cancel);
       // Publish the remainder, so a later sibling variant of an
       // over-matching rule is skipped outright; once the rule is over its
       // threshold its matches will be dropped, so free them now (Count

@@ -48,8 +48,6 @@ struct RunOptions {
   /// Use semi-naïve delta evaluation (§4.3); turning this off gives the
   /// egglogNI baseline of the paper's benchmarks.
   bool SemiNaive = true;
-  /// Use worst-case-optimal generic join (off = nested loop, for ablation).
-  bool GenericJoin = true;
   /// Enable the BackOff scheduler (egg-compatible defaults below).
   bool UseBackoff = false;
   uint64_t BackoffMatchLimit = 1000;

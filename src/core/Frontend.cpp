@@ -610,7 +610,9 @@ bool Frontend::execSetOption(const SExpr &Form) {
     return true;
   }
   if (Option == ":max-memory-mb") {
-    if (!Form[2].isInteger() || Form[2].IntValue < 0)
+    // Beyond SIZE_MAX >> 20 the byte count would wrap on the shift.
+    if (!Form[2].isInteger() || Form[2].IntValue < 0 ||
+        static_cast<uint64_t>(Form[2].IntValue) > (SIZE_MAX >> 20))
       return fail(Form[2], ":max-memory-mb expects a non-negative integer");
     Graph.governor().setMaxBytes(static_cast<size_t>(Form[2].IntValue) << 20);
     return true;

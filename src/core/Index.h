@@ -9,9 +9,9 @@
 /// in Query.cpp binds variables by narrowing each atom to the equal range
 /// of the candidate value, column by column — which requires the atom's
 /// candidate rows to be sorted lexicographically by a column permutation.
-/// Before this layer existed, every executeQuery call re-scanned every row
-/// of every atom's table and re-sorted the survivors: per rule, per
-/// semi-naïve delta variant, per iteration.
+/// Without it, every query execution would re-scan every row of every
+/// atom's table and re-sort the survivors: per rule, per semi-naïve delta
+/// variant, per iteration.
 ///
 /// An IndexCache hangs off each Table and memoizes those sorted row lists
 /// (flat tries over row ids) keyed by (column permutation, stamp
@@ -55,10 +55,9 @@ enum class AtomFilter : uint8_t {
 
 /// Fills \p Filters with variant \p Variant of the semi-naïve delta
 /// expansion over \p NumAtoms atoms (§4.3): atom Variant restricted to
-/// New, atoms before it to Old, atoms after it unrestricted. The single
-/// definition shared by the serial executeDelta loop and the engine's
-/// parallel work items — thread-count determinism depends on the two
-/// paths enumerating identical variants.
+/// New, atoms before it to Old, atoms after it unrestricted. The engine
+/// precomputes one filter vector per (rule, variant) from it, and the
+/// warm-up contract tests rebuild the same variants.
 inline void makeDeltaVariantFilters(std::vector<AtomFilter> &Filters,
                                     size_t Variant, size_t NumAtoms) {
   Filters.assign(NumAtoms, AtomFilter::All);

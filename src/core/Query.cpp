@@ -161,44 +161,18 @@ struct egglog::QueryExecutor::Impl {
   }
 
   void execute(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound,
-               bool UseGenericJoin, const std::function<bool()> *TheCancel) {
+               std::vector<Value> &Arena, size_t &Count,
+               const std::function<bool()> *TheCancel) {
+    CollectArena = &Arena;
+    CollectCount = &Count;
     Cancel = TheCancel;
     StepCount = 0;
     Cancelled = false;
-    if (UseGenericJoin)
-      run(Filters, DeltaBound);
-    else
-      runNaive(Filters, DeltaBound);
-    Callback = nullptr;
+    run(Filters, DeltaBound);
     CollectArena = nullptr;
     CollectCount = nullptr;
     Cancel = nullptr;
     ReadOnly = false;
-  }
-
-  void executeDelta(uint32_t DeltaBound, bool UseGenericJoin,
-                    const std::function<bool()> *TheCancel) {
-    size_t NumAtoms = Q.Atoms.size();
-    // emitMatch targets survive across variants; execute() clears them, so
-    // re-arm per variant from the saved values.
-    const MatchCallback *TheCallback = Callback;
-    std::vector<Value> *Arena = CollectArena;
-    size_t *Count = CollectCount;
-    for (size_t Delta = 0; Delta < NumAtoms; ++Delta) {
-      if (TheCancel && (*TheCancel)())
-        break;
-      makeDeltaVariantFilters(DeltaFilters, Delta, NumAtoms);
-      Callback = TheCallback;
-      CollectArena = Arena;
-      CollectCount = Count;
-      execute(DeltaFilters, DeltaBound, UseGenericJoin, TheCancel);
-    }
-    // Every exit path (including zero atoms or an immediate cancel) must
-    // disarm the sinks; a later call would otherwise write through a
-    // dangling arena pointer.
-    Callback = nullptr;
-    CollectArena = nullptr;
-    CollectCount = nullptr;
   }
 
   /// Runs materialize() alone, for its side effects: after this, an
@@ -209,11 +183,6 @@ struct egglog::QueryExecutor::Impl {
     materialize(Filters, DeltaBound);
   }
 
-  /// Match sinks: either a callback or a flat arena (plus match counter).
-  /// Exactly one is armed by the QueryExecutor entry points.
-  const MatchCallback *Callback = nullptr;
-  std::vector<Value> *CollectArena = nullptr;
-  size_t *CollectCount = nullptr;
   /// When set, materialize() only peeks at caches (no builds, refreshes,
   /// or canonicalization) — the parallel match phase's contract. Armed by
   /// executeCollectReadOnly, reset by every entry point.
@@ -222,6 +191,10 @@ struct egglog::QueryExecutor::Impl {
 private:
   EGraph &Graph;
   const Query &Q;
+  /// Match sink, armed for one execute(): a flat arena (NumVars values per
+  /// match) plus a match counter.
+  std::vector<Value> *CollectArena = nullptr;
+  size_t *CollectCount = nullptr;
   const std::function<bool()> *Cancel = nullptr;
   uint64_t StepCount = 0;
   bool Cancelled = false;
@@ -246,7 +219,6 @@ private:
 
   // Scratch reused across executions to keep the steady state
   // allocation-free.
-  std::vector<AtomFilter> DeltaFilters;
   std::vector<size_t> AtomSizes;
   std::vector<unsigned> VarPosition;
   std::vector<unsigned> Perm;
@@ -278,19 +250,6 @@ private:
     if (!runReadyPrims())
       return;
     joinLevel(0);
-  }
-
-  void runNaive(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound) {
-    if (!materialize(Filters, DeltaBound))
-      return;
-    Env.assign(Q.NumVars, Value());
-    BoundFlags.assign(Q.NumVars, false);
-    PrimDone.assign(Q.Prims.size(), false);
-    PendingPrims = Q.Prims.size();
-    Trail.clear();
-    if (!runReadyPrims())
-      return;
-    naiveLevel(0);
   }
 
   /// Resolves each atom to a cached column index, narrowed to its constant
@@ -554,12 +513,8 @@ private:
       assert(PendingPrims == 0 &&
              "primitive left unexecuted; typechecker should have "
              "rejected this query");
-      if (CollectArena) {
-        CollectArena->insert(CollectArena->end(), Env.begin(), Env.end());
-        ++*CollectCount;
-      } else {
-        (*Callback)(Env);
-      }
+      CollectArena->insert(CollectArena->end(), Env.begin(), Env.end());
+      ++*CollectCount;
     }
     trailUndo(Mark);
   }
@@ -711,12 +666,8 @@ private:
           ++GroupStart;
         while (GroupStart < SavedHi && C[Ids[GroupStart]] == Candidate);
         Env[Var] = Candidate;
-        if (CollectArena) {
-          CollectArena->insert(CollectArena->end(), Env.begin(), Env.end());
-          ++*CollectCount;
-        } else {
-          (*Callback)(Env);
-        }
+        CollectArena->insert(CollectArena->end(), Env.begin(), Env.end());
+        ++*CollectCount;
       }
       return;
     }
@@ -745,39 +696,6 @@ private:
     Exec.Hi = SavedHi;
     Exec.Depth = SavedDepth;
   }
-
-  /// Baseline nested-loop join for the ablation study: walks atoms in
-  /// declaration order binding variables row by row.
-  void naiveLevel(size_t AtomIndex) {
-    if (checkCancel())
-      return;
-    if (AtomIndex == Atoms.size()) {
-      emitMatch();
-      return;
-    }
-    AtomExec &Exec = Atoms[AtomIndex];
-    const uint32_t *Ids = Exec.Rows->data();
-    for (size_t R = Exec.Lo; R < Exec.Hi; ++R) {
-      uint32_t Row = Ids[R];
-      size_t Mark = trailMark();
-      bool Alive = true;
-      for (const AtomCol &Col : Exec.Cols) {
-        // Binding every occurrence both binds the variable and rejects
-        // rows whose repeated occurrences disagree.
-        for (unsigned Pos : Col.Positions) {
-          if (!bindVar(Col.Var, Exec.ColBase[Pos][Row])) {
-            Alive = false;
-            break;
-          }
-        }
-        if (!Alive)
-          break;
-      }
-      if (Alive && runReadyPrims())
-        naiveLevel(AtomIndex + 1);
-      trailUndo(Mark);
-    }
-  }
 };
 
 QueryExecutor::QueryExecutor(EGraph &Graph, const Query &Q)
@@ -787,31 +705,11 @@ QueryExecutor::~QueryExecutor() = default;
 QueryExecutor::QueryExecutor(QueryExecutor &&) noexcept = default;
 QueryExecutor &QueryExecutor::operator=(QueryExecutor &&) noexcept = default;
 
-void QueryExecutor::execute(const std::vector<AtomFilter> &Filters,
-                            uint32_t DeltaBound,
-                            const MatchCallback &Callback,
-                            bool UseGenericJoin,
-                            const std::function<bool()> *Cancel) {
-  I->Callback = &Callback;
-  I->execute(Filters, DeltaBound, UseGenericJoin, Cancel);
-}
-
-void QueryExecutor::executeDelta(uint32_t DeltaBound,
-                                 const MatchCallback &Callback,
-                                 bool UseGenericJoin,
-                                 const std::function<bool()> *Cancel) {
-  I->Callback = &Callback;
-  I->executeDelta(DeltaBound, UseGenericJoin, Cancel);
-}
-
 void QueryExecutor::executeCollect(const std::vector<AtomFilter> &Filters,
                                    uint32_t DeltaBound,
                                    std::vector<Value> &Arena, size_t &Count,
-                                   bool UseGenericJoin,
                                    const std::function<bool()> *Cancel) {
-  I->CollectArena = &Arena;
-  I->CollectCount = &Count;
-  I->execute(Filters, DeltaBound, UseGenericJoin, Cancel);
+  I->execute(Filters, DeltaBound, Arena, Count, Cancel);
 }
 
 void QueryExecutor::warm(const std::vector<AtomFilter> &Filters,
@@ -821,28 +719,24 @@ void QueryExecutor::warm(const std::vector<AtomFilter> &Filters,
 
 void QueryExecutor::executeCollectReadOnly(
     const std::vector<AtomFilter> &Filters, uint32_t DeltaBound,
-    std::vector<Value> &Arena, size_t &Count, bool UseGenericJoin,
+    std::vector<Value> &Arena, size_t &Count,
     const std::function<bool()> *Cancel) {
-  I->CollectArena = &Arena;
-  I->CollectCount = &Count;
   I->ReadOnly = true;
-  I->execute(Filters, DeltaBound, UseGenericJoin, Cancel);
+  I->execute(Filters, DeltaBound, Arena, Count, Cancel);
 }
 
 void egglog::executeQuery(EGraph &Graph, const Query &Q,
                           const std::vector<AtomFilter> &Filters,
                           uint32_t DeltaBound, const MatchCallback &Callback,
-                          bool UseGenericJoin,
                           const std::function<bool()> *Cancel) {
-  QueryExecutor(Graph, Q).execute(Filters, DeltaBound, Callback,
-                                  UseGenericJoin, Cancel);
-}
-
-void egglog::executeQueryDelta(EGraph &Graph, const Query &Q,
-                               uint32_t DeltaBound,
-                               const MatchCallback &Callback,
-                               bool UseGenericJoin,
-                               const std::function<bool()> *Cancel) {
-  QueryExecutor(Graph, Q).executeDelta(DeltaBound, Callback, UseGenericJoin,
-                                       Cancel);
+  std::vector<Value> Arena;
+  size_t Count = 0;
+  QueryExecutor(Graph, Q).executeCollect(Filters, DeltaBound, Arena, Count,
+                                         Cancel);
+  std::vector<Value> Env;
+  for (size_t M = 0; M < Count; ++M) {
+    const Value *Match = Arena.data() + M * Q.NumVars;
+    Env.assign(Match, Match + Q.NumVars);
+    Callback(Env);
+  }
 }

@@ -15,7 +15,12 @@
 ///
 /// For semi-naïve evaluation (§4.3), a query can be executed with one atom
 /// restricted to the delta (rows stamped at or after a bound), earlier
-/// atoms restricted to old rows, and later atoms unrestricted.
+/// atoms restricted to old rows, and later atoms unrestricted; the engine
+/// runs one such variant per atom (makeDeltaVariantFilters in Index.h).
+///
+/// Matches land in a flat arena, NumVars values each. The executeQuery
+/// convenience wrapper replays an arena through a per-match callback for
+/// tests and benchmarks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,24 +54,14 @@ public:
   QueryExecutor &operator=(QueryExecutor &&) noexcept;
 
   /// Runs one filter variant (see executeQuery below for the semantics of
-  /// \p Filters and \p DeltaBound).
-  void execute(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound,
-               const MatchCallback &Callback, bool UseGenericJoin = true,
-               const std::function<bool()> *Cancel = nullptr);
-
-  /// Runs the full semi-naïve delta expansion (§4.3): one variant per
-  /// atom, where atom j is restricted to New (stamps >= \p DeltaBound),
-  /// atoms before j to Old, and atoms after j unrestricted.
-  void executeDelta(uint32_t DeltaBound, const MatchCallback &Callback,
-                    bool UseGenericJoin = true,
-                    const std::function<bool()> *Cancel = nullptr);
-
-  /// Like execute, but appends each match's environment (NumVars values)
-  /// to \p Arena and bumps \p Count instead of invoking a callback — the
-  /// engine's hot path, free of per-match indirect calls.
+  /// \p Filters and \p DeltaBound), appending each match's environment
+  /// (NumVars values) to \p Arena and bumping \p Count — the engine's hot
+  /// path, free of per-match indirect calls. If \p Cancel is provided it
+  /// is polled periodically; returning true aborts the search (used to
+  /// enforce run timeouts inside a single large join).
   void executeCollect(const std::vector<AtomFilter> &Filters,
                       uint32_t DeltaBound, std::vector<Value> &Arena,
-                      size_t &Count, bool UseGenericJoin = true,
+                      size_t &Count,
                       const std::function<bool()> *Cancel = nullptr);
 
   /// Parallel match warm-up (single-threaded): performs every lazy
@@ -87,7 +82,7 @@ public:
   /// checks both; see Engine.cpp queryIsParallelSafe).
   void executeCollectReadOnly(const std::vector<AtomFilter> &Filters,
                               uint32_t DeltaBound, std::vector<Value> &Arena,
-                              size_t &Count, bool UseGenericJoin = true,
+                              size_t &Count,
                               const std::function<bool()> *Cancel = nullptr);
 
 private:
@@ -95,17 +90,13 @@ private:
   std::unique_ptr<Impl> I;
 };
 
-/// Executes \p Q against \p Graph. \p Filters gives a per-atom restriction
-/// (it must have one entry per atom, or be empty for all-All), and
-/// \p DeltaBound is the timestamp splitting Old from New.
-///
-/// If \p UseGenericJoin is false, a naive left-to-right nested-loop join is
-/// used instead (kept for the ablation benchmark). If \p Cancel is
-/// provided it is polled periodically; returning true aborts the search
-/// (used to enforce run timeouts inside a single large join).
+/// Executes \p Q against \p Graph and calls \p Callback once per match,
+/// in the order executeCollect found them. \p Filters gives a per-atom
+/// restriction (it must have one entry per atom, or be empty for all-All),
+/// and \p DeltaBound is the timestamp splitting Old from New.
 void executeQuery(EGraph &Graph, const Query &Q,
                   const std::vector<AtomFilter> &Filters, uint32_t DeltaBound,
-                  const MatchCallback &Callback, bool UseGenericJoin = true,
+                  const MatchCallback &Callback,
                   const std::function<bool()> *Cancel = nullptr);
 
 /// Convenience wrapper: runs \p Q with no delta restriction.
@@ -113,13 +104,6 @@ inline void executeQuery(EGraph &Graph, const Query &Q,
                          const MatchCallback &Callback) {
   executeQuery(Graph, Q, {}, 0, Callback);
 }
-
-/// Convenience wrapper for QueryExecutor::executeDelta with a one-shot
-/// execution context.
-void executeQueryDelta(EGraph &Graph, const Query &Q, uint32_t DeltaBound,
-                       const MatchCallback &Callback,
-                       bool UseGenericJoin = true,
-                       const std::function<bool()> *Cancel = nullptr);
 
 } // namespace egglog
 

@@ -106,10 +106,6 @@ public:
     Out.swap(Dirty);
   }
 
-  /// Discards the pending dirty list (used after a full-sweep rebuild,
-  /// which restores canonicity without consulting it).
-  void clearDirty() { Dirty.clear(); }
-
   /// Append-only log of every losing root in merge order (never drained;
   /// truncated only by restore). Incremental readers keep an offset.
   const std::vector<uint64_t> &mergeLog() const { return MergeLog; }

@@ -67,11 +67,19 @@ public:
   /// cancel request left over from a previous command's trip.
   void arm() {
     CancelFlag.store(false, std::memory_order_release);
-    if (TimeoutSeconds > 0)
-      Deadline = Clock::now() +
-                 std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double>(TimeoutSeconds));
-    HasDeadline = TimeoutSeconds > 0;
+    HasDeadline = false;
+    if (!(TimeoutSeconds > 0))
+      return;
+    // A budget past the clock's range (1e10 s already overflows
+    // steady_clock's int64 nanoseconds) cannot be represented, and the
+    // double-to-integer conversion would be undefined: it means no
+    // deadline.
+    Clock::time_point Now = Clock::now();
+    double Ticks = TimeoutSeconds * Clock::period::den / Clock::period::num;
+    if (Ticks >= static_cast<double>((Clock::time_point::max() - Now).count()))
+      return;
+    Deadline = Now + Clock::duration(static_cast<Clock::rep>(Ticks));
+    HasDeadline = true;
   }
 
   /// Deadline + cancellation only. Cheap enough for worker threads.

@@ -208,6 +208,9 @@ TEST(ErrorPathTest, NamedErrorPaths) {
        ":max-nodes expects a non-negative integer"},
       {"", "(set-option :max-memory-mb -1)",
        ":max-memory-mb expects a non-negative integer"},
+      // 2^44 MiB is 2^64 bytes: the byte count would wrap to 0 (no limit).
+      {"", "(set-option :max-memory-mb 17592186044416)",
+       ":max-memory-mb expects a non-negative integer"},
   };
   for (const ErrorCase &Case : Cases) {
     SCOPED_TRACE(Case.Command);

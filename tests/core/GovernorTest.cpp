@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
 
 using namespace egglog;
@@ -87,6 +88,26 @@ TEST(GovernorTest, VerdictsAndCheckpointInterval) {
   EXPECT_EQ(Gov.checkpointInterval(), 1u);
   Gov.setCheckpointInterval(64);
   EXPECT_EQ(Gov.checkpointInterval(), 64u);
+}
+
+TEST(GovernorTest, BudgetBeyondTheClockRangeIsNoDeadline) {
+  // steady_clock counts int64 nanoseconds (~292 years): these budgets
+  // cannot be represented, and must not turn into a deadline in the past.
+  ResourceGovernor Gov;
+  for (double Seconds :
+       {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    Gov.setTimeout(Seconds);
+    Gov.arm();
+    EXPECT_EQ(Gov.pollQuick(), GovernorVerdict::Ok) << Seconds;
+  }
+  // A long budget the clock can represent is still a (distant) deadline.
+  Gov.setTimeout(1e9);
+  Gov.arm();
+  EXPECT_EQ(Gov.pollQuick(), GovernorVerdict::Ok);
+
+  Frontend F;
+  ASSERT_TRUE(F.execute("(set-option :timeout 10000000000)")) << F.error();
+  EXPECT_TRUE(F.execute("(relation r (i64)) (r 1) (run 1)")) << F.error();
 }
 
 TEST(GovernorTest, TimeoutIsAHardBoundedStopThatRollsBack) {

@@ -1,11 +1,12 @@
 //===- tests/core/RebuildTest.cpp - Incremental rebuild differential -------===//
 //
 // Part of egglog-cpp. The incremental, worklist-driven rebuild must be
-// observationally identical to the legacy full-sweep rebuild: after every
-// rebuild of any random union/insert/push/pop sequence, the two strategies
-// reach the same live content hash, tuple count, and union count. The
-// random driver mirrors each operation onto two databases that differ only
-// in their rebuild strategy.
+// observationally identical to the reference oracle's brute-force sweep
+// (sweepRebuild in tests/oracle/Reference.h): after every rebuild of any
+// random union/insert/push/pop sequence, the two reach the same live
+// content hash, tuple count, and union count. The random driver mirrors
+// each operation onto two databases that differ only in how they are
+// rebuilt.
 //
 // The sequences mint fresh ids only from the driver (never from a merge
 // expression), so the id numbering of the two databases stays aligned and
@@ -14,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/EGraph.h"
+#include "oracle/Reference.h"
 #include "support/FailPoints.h"
 
 #include <gtest/gtest.h>
@@ -37,8 +39,7 @@ struct TestDb {
   FunctionId Bag = 0;     ///< bag : i64 -> SetOfS (container sweep path)
   std::vector<EGraph::Snapshot> Stack;
 
-  explicit TestDb(bool FullRebuild) {
-    G.setFullRebuild(FullRebuild);
+  TestDb() {
     S = G.declareSort("T");
     SetOfS = G.declareSetSort("SetT", S);
 
@@ -90,8 +91,7 @@ struct TestDb {
 class DifferentialDriver {
 public:
   explicit DifferentialDriver(uint32_t Seed)
-      : Incremental(/*FullRebuild=*/false), FullSweep(/*FullRebuild=*/true),
-        Rng(Seed) {}
+      : Rng(Seed) {}
 
   void run(unsigned Steps) {
     for (unsigned Step = 0; Step < Steps; ++Step) {
@@ -233,11 +233,18 @@ private:
   }
 
   void rebuildAndCompare() {
-    both([&](TestDb &Db) { Db.G.rebuild(); });
+    Incremental.G.rebuild();
+    oracle::sweepRebuild(FullSweep.G);
+    ASSERT_FALSE(FullSweep.G.failed()) << FullSweep.G.errorMessage();
     ASSERT_EQ(Incremental.G.liveTupleCount(), FullSweep.G.liveTupleCount());
     ASSERT_EQ(Incremental.G.unionFind().unionCount(),
               FullSweep.G.unionFind().unionCount());
-    ASSERT_EQ(Incremental.G.liveContentHash(), FullSweep.G.liveContentHash());
+    uint64_t SweptHash = FullSweep.G.liveContentHash();
+    ASSERT_EQ(Incremental.G.liveContentHash(), SweptHash);
+    // The sweep leaves the dirty worklist behind; draining it must not
+    // change anything the sweep already made canonical.
+    FullSweep.G.rebuild();
+    ASSERT_EQ(FullSweep.G.liveContentHash(), SweptHash);
     ASSERT_FALSE(Incremental.G.needsRebuild());
     ASSERT_FALSE(FullSweep.G.needsRebuild());
   }
@@ -258,7 +265,7 @@ TEST(RebuildTest, CongruenceCascade) {
   // f(a)=b, f(c)=d: uniting a~c must cascade to b~d through the occurrence
   // index alone (no full sweep at this size... the heuristic may still
   // sweep small tables; either way the result must be canonical).
-  TestDb Db(/*FullRebuild=*/false);
+  TestDb Db;
   EGraph &G = Db.G;
   Value A = G.freshId(Db.S), C = G.freshId(Db.S);
   Value B, D;
@@ -276,7 +283,7 @@ TEST(RebuildTest, CongruenceCascade) {
 TEST(RebuildTest, PendingDirtyWorklistSurvivesPop) {
   // A union is pending (not yet rebuilt) when the context pops: the
   // restored worklist must still drive the post-pop rebuild.
-  TestDb Db(/*FullRebuild=*/false);
+  TestDb Db;
   EGraph &G = Db.G;
   Value A = G.freshId(Db.S), C = G.freshId(Db.S);
   Value B, D;
@@ -302,7 +309,7 @@ TEST(RebuildTest, PendingDirtyWorklistSurvivesPop) {
 TEST(RebuildTest, ContainerColumnsStillCanonicalize) {
   // Ids hidden inside a set-sort output: the occurrence index cannot see
   // them, so the incremental rebuild must fall back to sweeping the table.
-  TestDb Db(/*FullRebuild=*/false);
+  TestDb Db;
   EGraph &G = Db.G;
   Value A = G.freshId(Db.S), B = G.freshId(Db.S);
   Value Set = G.mkSet(Db.SetOfS, {A, B});
@@ -320,8 +327,8 @@ TEST(RebuildTest, ContainerColumnsStillCanonicalize) {
 
 TEST(RebuildTest, NoDirtyMeansNoPasses) {
   // Pure inserts never stale a row: the incremental rebuild must be a
-  // no-op (0 passes), where the legacy sweep always paid a full pass.
-  TestDb Db(/*FullRebuild=*/false);
+  // no-op (0 passes), where a sweep would still pay a full pass.
+  TestDb Db;
   EGraph &G = Db.G;
   for (int I = 0; I < 100; ++I) {
     Value Id = G.freshId(Db.S);
@@ -365,7 +372,7 @@ TEST(RebuildTest, AbortedRebuildRollsBackAndComposes) {
     ~Disarm() { failpoints::disarm(); }
   } Guard;
 
-  TestDb Faulty(/*FullRebuild=*/false), Ref(/*FullRebuild=*/false);
+  TestDb Faulty, Ref;
   std::vector<Value> FaultyIds, RefIds;
   populate(Faulty, FaultyIds);
   populate(Ref, RefIds);

@@ -33,6 +33,9 @@
 #include "support/Errors.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -164,6 +167,21 @@ private:
   std::set<std::string> Seen;
 };
 
+/// Parses all of \p Text as a number (strtoll / strtod): false on an empty
+/// string, trailing characters, or a value out of range.
+bool parseWhole(const char *Text, long long &Out) {
+  char *End = nullptr;
+  errno = 0;
+  Out = std::strtoll(Text, &End, 10);
+  return End != Text && *End == '\0' && errno != ERANGE;
+}
+bool parseWhole(const char *Text, double &Out) {
+  char *End = nullptr;
+  errno = 0;
+  Out = std::strtod(Text, &End);
+  return End != Text && *End == '\0' && errno != ERANGE;
+}
+
 /// Runs (load "path") / (save "path") through the normal command path, so
 /// snapshot I/O gets the same transactional rollback and io-kind error
 /// reporting as in-program commands. The form is built directly (not
@@ -205,23 +223,26 @@ int main(int argc, char **argv) {
     else if (std::strcmp(argv[I], "--Werror") == 0)
       Werror = true;
     else if (std::strcmp(argv[I], "--threads") == 0) {
-      int N = I + 1 < argc ? std::atoi(argv[++I]) : 0;
-      if (N < 1) {
+      long long N = 0;
+      if (I + 1 >= argc || !parseWhole(argv[++I], N) || N < 1 ||
+          N > INT_MAX) {
         std::fprintf(stderr, "--threads expects a positive integer\n");
         return 1;
       }
       F.engine().setThreads(static_cast<unsigned>(N));
     } else if (std::strcmp(argv[I], "--timeout") == 0) {
-      double S = I + 1 < argc ? std::atof(argv[++I]) : -1;
-      if (S < 0) {
+      double S = 0;
+      if (I + 1 >= argc || !parseWhole(argv[++I], S) || !(S >= 0)) {
         std::fprintf(stderr, "--timeout expects a non-negative number of "
                              "seconds\n");
         return 1;
       }
       F.graph().governor().setTimeout(S);
     } else if (std::strcmp(argv[I], "--max-memory") == 0) {
-      long MB = I + 1 < argc ? std::atol(argv[++I]) : -1;
-      if (MB < 0) {
+      // Beyond SIZE_MAX >> 20 the byte count would wrap on the shift.
+      long long MB = 0;
+      if (I + 1 >= argc || !parseWhole(argv[++I], MB) || MB < 0 ||
+          static_cast<unsigned long long>(MB) > (SIZE_MAX >> 20)) {
         std::fprintf(stderr, "--max-memory expects a non-negative number of "
                              "megabytes\n");
         return 1;
