@@ -32,7 +32,7 @@ struct Series {
   std::vector<size_t> ENodes;
   std::vector<double> CumulativeSeconds;
   /// Total seconds spent in the match phase across all iterations
-  /// (includes the warm-up pre-pass when running multi-threaded).
+  /// (prepare plus join).
   double SearchSeconds = 0;
   /// Total seconds spent in the apply phase across all iterations.
   double ApplySeconds = 0;

@@ -7,11 +7,11 @@
 // and egglogNI).
 //
 // Usage: bench_pointsto [--scale S] [--timeout T] [--threads N]
-//        bench_pointsto [scale] [timeout_seconds] [threads]   (legacy)
 //   --scale    multiplies every program's instruction count (default 0.15
 //              so the whole figure regenerates in minutes; 1.0 is the
 //              paper-sized suite; larger values probe the columnar
 //              engine's scaling headroom)
+//   --timeout  per-system run timeout in seconds (default 10; 0 = none)
 //   --threads  match-phase concurrency for the egglog systems (default 1;
 //              the JSON record carries it so the perf trajectory can
 //              attribute wins per phase and per thread count)
@@ -24,8 +24,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "pointsto/Analyses.h"
+#include "support/NumberFormat.h"
 
 #include <cinttypes>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +39,7 @@
 #endif
 
 using namespace egglog::pointsto;
+using egglog::parseWhole;
 
 namespace {
 
@@ -60,39 +64,35 @@ double maxRssMb() {
 
 int main(int argc, char **argv) {
   double Scale = 0.15, Timeout = 10.0;
-  int ThreadsArg = 1;
-  // Flag form first; bare positional arguments keep their legacy meaning
-  // (scale, timeout, threads in order).
-  int Positional = 0;
+  unsigned Threads = 1;
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
-    if (std::strcmp(Arg, "--scale") == 0 && I + 1 < argc) {
-      Scale = std::atof(argv[++I]);
-    } else if (std::strcmp(Arg, "--timeout") == 0 && I + 1 < argc) {
-      Timeout = std::atof(argv[++I]);
-    } else if (std::strcmp(Arg, "--threads") == 0 && I + 1 < argc) {
-      ThreadsArg = std::atoi(argv[++I]);
-    } else if (Arg[0] == '-' && Arg[1] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", Arg);
-      return 1;
-    } else {
-      switch (Positional++) {
-      case 0:
-        Scale = std::atof(Arg);
-        break;
-      case 1:
-        Timeout = std::atof(Arg);
-        break;
-      case 2:
-        ThreadsArg = std::atoi(Arg);
-        break;
-      default:
-        std::fprintf(stderr, "unexpected argument %s\n", Arg);
+    if (std::strcmp(Arg, "--scale") == 0) {
+      if (I + 1 >= argc || !parseWhole(argv[++I], Scale) ||
+          !(Scale > 0) || !std::isfinite(Scale)) {
+        std::fprintf(stderr, "--scale expects a positive number\n");
         return 1;
       }
+    } else if (std::strcmp(Arg, "--timeout") == 0) {
+      if (I + 1 >= argc || !parseWhole(argv[++I], Timeout) ||
+          !(Timeout >= 0)) {
+        std::fprintf(stderr, "--timeout expects a non-negative number of "
+                             "seconds\n");
+        return 1;
+      }
+    } else if (std::strcmp(Arg, "--threads") == 0) {
+      long long N = 0;
+      if (I + 1 >= argc || !parseWhole(argv[++I], N) || N < 1 ||
+          N > INT_MAX) {
+        std::fprintf(stderr, "--threads expects a positive integer\n");
+        return 1;
+      }
+      Threads = static_cast<unsigned>(N);
+    } else {
+      std::fprintf(stderr, "unexpected argument %s\n", Arg);
+      return 1;
     }
   }
-  unsigned Threads = ThreadsArg < 1 ? 1u : static_cast<unsigned>(ThreadsArg);
 
   std::vector<Program> Suite = postgresSuite(Scale);
   const System Systems[] = {System::EqRelEncoding, System::Patched,

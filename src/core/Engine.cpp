@@ -40,12 +40,13 @@ void Engine::setThreads(unsigned N) {
 
 namespace {
 
-/// True if every primitive computation in \p Q is safe to run on the
-/// read-only parallel match path. Classified conservatively by signature:
-/// a primitive whose output is interned (string / rational / set) mutates
-/// the interners, and one taking an id or container argument may
-/// canonicalize (union-find path-compression writes, set re-interning).
-/// Rules failing this run in the serial prelude of the match phase.
+/// True if every primitive computation in \p Q is read-only, so the
+/// query's join may run concurrently with others. Classified
+/// conservatively by signature: a primitive whose output is interned
+/// (string / rational / set) mutates the interners, and one taking an id
+/// or container argument may canonicalize (union-find path-compression
+/// writes, set re-interning). Rules failing this join in the serial
+/// prelude of the match phase.
 bool queryIsParallelSafe(const EGraph &G, const Query &Q) {
   for (const PrimComputation &P : Q.Prims) {
     const Primitive &Prim = G.primitives().get(P.Prim);
@@ -174,9 +175,6 @@ RunReport Engine::run(const RunOptions &Options) {
   ensureVariantExecutors();
   if (!Pool)
     Pool = std::make_unique<ThreadPool>(NumThreads);
-  // The one thread-count branch: whether the match items fan out read-only
-  // over the pool or run in order through the lazily refreshing path.
-  const bool FanOut = Pool->threads() > 1;
 
   // Top-level unions between runs leave the database non-canonical; queries
   // require canonical form.
@@ -268,10 +266,7 @@ RunReport Engine::run(const RunOptions &Options) {
       for (size_t V = 0; V < NumVariants; ++V) {
         WorkItem Item;
         Item.Rule = R;
-        // Concurrent variants need private join scratch; at one thread a
-        // rule's variants run back to back and share slot 0.
-        std::unique_ptr<QueryExecutor> &Exec =
-            VariantExecutors[R][FanOut ? V : 0].Exec;
+        std::unique_ptr<QueryExecutor> &Exec = VariantExecutors[R][V].Exec;
         if (!Exec)
           Exec = std::make_unique<QueryExecutor>(Graph, Body);
         Item.Exec = Exec.get();
@@ -304,7 +299,7 @@ RunReport Engine::run(const RunOptions &Options) {
       uint64_t Threshold = RuleThreshold(Item.Rule);
       return Threshold != UINT64_MAX && Publish(Item) > Threshold;
     };
-    auto RunItem = [&](WorkItem &Item, bool ReadOnlyPath) {
+    auto RunItem = [&](WorkItem &Item) {
       uint64_t Threshold = RuleThreshold(Item.Rule);
       // Out of time, or a sibling variant already pushed the rule over its
       // BackOff threshold (its matches are dropped anyway): skip the item.
@@ -315,12 +310,7 @@ RunReport Engine::run(const RunOptions &Options) {
       std::function<bool()> Cancel = [&Item, &ItemCancelled] {
         return ItemCancelled(Item);
       };
-      if (ReadOnlyPath)
-        Item.Exec->executeCollectReadOnly(*Item.Filters, Item.Bound,
-                                          Item.Arena, Item.Count, &Cancel);
-      else
-        Item.Exec->executeCollect(*Item.Filters, Item.Bound, Item.Arena,
-                                  Item.Count, &Cancel);
+      Item.Exec->join(Item.Arena, Item.Count, &Cancel);
       // Publish the remainder, so a later sibling variant of an
       // over-matching rule is skipped outright; once the rule is over its
       // threshold its matches will be dropped, so free them now (Count
@@ -329,34 +319,30 @@ RunReport Engine::run(const RunOptions &Options) {
         std::vector<Value>().swap(Item.Arena);
     };
 
-    if (FanOut) {
-      // Warm-up: hoist every lazy mutation off the read path. Each
-      // fanned-out item's warm() builds/refreshes the column indexes and
-      // partition counts its read-only execution will peek at, and
-      // canonicalizes its query constants; after this the database is
-      // untouched until apply.
-      for (WorkItem &Item : Items)
-        if (RuleParallelSafe[Item.Rule])
-          Item.Exec->warm(*Item.Filters, Item.Bound);
-      Stats.WarmSeconds = Phase.seconds();
-    }
-    // Serial prelude: rules whose query primitives may intern values or
-    // canonicalize ids (see queryIsParallelSafe) mutate structures the
-    // read-only workers read, so they run here first, on this thread, in
-    // declaration order — which also keeps their interning order
-    // deterministic. At one thread every item goes to the pool, which runs
-    // them inline and in order through the lazily refreshing path.
+    // Prepare, on this thread and in item order: every lazy database-side
+    // step of the match phase (partition counts, index builds and
+    // refreshes, constant canonicalization). After this the tables and
+    // their index caches stay untouched until apply, so the joins below
+    // only read them.
+    for (WorkItem &Item : Items)
+      Item.Exec->prepare(*Item.Filters, Item.Bound);
+    Stats.WarmSeconds = Phase.seconds();
+    // Join. Rules whose query primitives may intern values or
+    // canonicalize ids (see queryIsParallelSafe) write structures other
+    // joins read, so they join first, here on this thread, in declaration
+    // order — which also keeps their interning order deterministic. The
+    // rest go to the pool, which at one thread runs them inline and in
+    // order.
     std::vector<size_t> PoolItems;
     PoolItems.reserve(Items.size());
     for (size_t I = 0; I < Items.size(); ++I) {
-      if (!FanOut || RuleParallelSafe[Items[I].Rule])
+      if (RuleParallelSafe[Items[I].Rule])
         PoolItems.push_back(I);
       else
-        RunItem(Items[I], /*ReadOnlyPath=*/false);
+        RunItem(Items[I]);
     }
-    Pool->parallelFor(PoolItems.size(), [&](size_t K) {
-      RunItem(Items[PoolItems[K]], FanOut);
-    });
+    Pool->parallelFor(PoolItems.size(),
+                      [&](size_t K) { RunItem(Items[PoolItems[K]]); });
     Stats.SearchSeconds = Phase.seconds();
     // Governor trips are hard stops (ErrKind::Limit, command rolls back),
     // unlike the legacy RunOptions timeout below, which is a graceful

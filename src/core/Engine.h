@@ -64,19 +64,19 @@ struct IterationStats {
   size_t Matches = 0;
   size_t TuplesAfter = 0;
   size_t UnionsAfter = 0;
-  /// Whole match phase, including the warm-up pre-pass when matching fans
-  /// out (so the figure stays comparable with the single-threaded run,
-  /// where the same cache refreshes happen inline); WarmSeconds below
-  /// breaks out the warm-up share.
+  /// Whole match phase: prepare plus join. WarmSeconds below breaks out
+  /// the prepare share.
   double SearchSeconds = 0;
   double ApplySeconds = 0;
   /// Always 0: apply runs serially. Kept so existing stats records keep
   /// their field.
   double ApplyStageSeconds = 0;
   double RebuildSeconds = 0;
-  /// Warm-up pre-pass of a fanned-out match phase (index cache refresh and
-  /// constant canonicalization); always 0 single-threaded, where that work
-  /// is folded into the search.
+  /// Serial prepare step of the match phase (partition counts, index
+  /// builds and refreshes, constant canonicalization; see
+  /// QueryExecutor::prepare), at every thread count. Named for the
+  /// warm-up pass it replaced; the name stays because recorded stats and
+  /// the benchmark read it.
   double WarmSeconds = 0;
   /// Worklist passes the rebuild took (0 = nothing was dirty).
   unsigned RebuildPasses = 0;
@@ -109,11 +109,11 @@ public:
   ~Engine();
 
   /// Sets the match-phase concurrency: with N > 1, each iteration's match
-  /// work items fan out over N workers (including the calling thread)
-  /// after a serial warm-up; apply and rebuild stay serial (see DESIGN.md
-  /// "Parallel matching"). The resulting database is bit-identical for
-  /// every N — matches are buffered per (rule, delta variant) and applied
-  /// in declaration order.
+  /// work items are prepared serially and then joined over N workers
+  /// (including the calling thread); apply and rebuild stay serial (see
+  /// DESIGN.md "Parallel matching"). The resulting database is
+  /// bit-identical for every N — matches are buffered per (rule, delta
+  /// variant) and applied in declaration order.
   void setThreads(unsigned N);
   unsigned threads() const { return NumThreads; }
 
@@ -199,8 +199,9 @@ private:
   std::unique_ptr<ThreadPool> Pool;
   /// One semi-naïve delta variant of a rule: its per-atom filters and a
   /// persistent execution context, created on first use, so join scratch
-  /// and atom shapes survive across iterations and a rule's variants can
-  /// run concurrently.
+  /// and atom shapes survive across iterations. Each variant has its own
+  /// context because its prepared state must live until its join, and a
+  /// rule's variants may join concurrently.
   struct Variant {
     std::vector<AtomFilter> Filters;
     std::unique_ptr<QueryExecutor> Exec;
@@ -209,9 +210,9 @@ private:
   /// full (non-incremental) search's. Rebuilt by run() whenever rules were
   /// added (Rules may have reallocated).
   std::vector<std::vector<Variant>> VariantExecutors;
-  /// Per rule: true if every primitive in its query is safe on the
-  /// read-only parallel path (cannot intern values or canonicalize);
-  /// unsafe rules are matched serially before the fan-out.
+  /// Per rule: true if every primitive in its query is read-only (cannot
+  /// intern values or canonicalize), so its joins may run on the pool;
+  /// unsafe rules join serially before the pool's job.
   std::vector<char> RuleParallelSafe;
 
   /// (Re)creates VariantExecutors/RuleParallelSafe for the current rules.

@@ -540,39 +540,3 @@ std::vector<ExtractedTerm> egglog::extractVariants(EGraph &Graph, Value V,
   }
   return Variants;
 }
-
-std::unordered_map<uint64_t, int64_t>
-egglog::extractCostsReference(EGraph &Graph) {
-  std::unordered_map<uint64_t, int64_t> Costs;
-  auto CostOf = [&](Value V) -> int64_t {
-    if (!Graph.sorts().isIdSort(V.Sort))
-      return 1;
-    auto It = Costs.find(Graph.unionFind().find(V.Bits));
-    return It == Costs.end() ? Infinity : It->second;
-  };
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (FunctionId Func = 0; Func < Graph.numFunctions(); ++Func) {
-      const FunctionInfo &Info = Graph.function(Func);
-      if (!Graph.sorts().isIdSort(Info.Decl.OutSort))
-        continue;
-      const Table &T = *Info.Storage;
-      unsigned NumKeys = Info.numKeys();
-      for (size_t Row : T.liveRows()) {
-        int64_t Total = Info.Decl.Cost;
-        for (unsigned I = 0; I < NumKeys && Total != Infinity; ++I)
-          Total = saturatingAdd(Total, CostOf(T.cell(Row, I)));
-        if (Total == Infinity)
-          continue;
-        uint64_t Out = Graph.unionFind().find(T.output(Row).Bits);
-        auto It = Costs.find(Out);
-        if (It == Costs.end() || Total < It->second) {
-          Costs[Out] = Total;
-          Changed = true;
-        }
-      }
-    }
-  }
-  return Costs;
-}

@@ -229,11 +229,6 @@ std::optional<int64_t> extractCost(EGraph &Graph, Value V);
 std::vector<ExtractedTerm> extractVariants(EGraph &Graph, Value V,
                                            size_t MaxVariants);
 
-/// From-scratch reference cost fixpoint (the pre-index algorithm): the
-/// cheapest tree cost per canonical id value. Quadratic and allocation
-/// heavy; kept for differential testing of the incremental ExtractIndex.
-std::unordered_map<uint64_t, int64_t> extractCostsReference(EGraph &Graph);
-
 } // namespace egglog
 
 #endif // EGGLOG_CORE_EXTRACT_H

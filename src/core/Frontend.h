@@ -84,6 +84,8 @@ public:
   struct PhaseTotals {
     size_t Iterations = 0;
     size_t Matches = 0;
+    /// The match phase's prepare share of SearchSeconds (see
+    /// IterationStats::WarmSeconds).
     double WarmSeconds = 0;
     double SearchSeconds = 0;
     double ApplySeconds = 0;

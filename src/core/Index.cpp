@@ -28,30 +28,6 @@ void IndexCache::sweepStaleSlow() {
   SweptVersion = T.version();
 }
 
-const ColumnIndex *IndexCache::peek(const std::vector<unsigned> &Perm,
-                                    AtomFilter Filter,
-                                    uint32_t DeltaBound) const {
-  if (Filter == AtomFilter::All)
-    DeltaBound = 0;
-  auto It = Entries.find(KeyView{Perm, Filter, DeltaBound});
-  if (It == Entries.end() || It->second.BuiltVersion != T.version())
-    return nullptr;
-  return &It->second;
-}
-
-bool IndexCache::peekPartitionCounts(uint32_t Bound,
-                                     std::pair<size_t, size_t> &Out) const {
-  // Counts entries are only ever inserted right after a sweep, so a stale
-  // SweptVersion means every cached count predates the current version.
-  if (SweptVersion != T.version())
-    return false;
-  auto It = Counts.find(Bound);
-  if (It == Counts.end())
-    return false;
-  Out = It->second;
-  return true;
-}
-
 std::pair<size_t, size_t> IndexCache::partitionCounts(uint32_t Bound) {
   sweepStale();
   auto [It, Inserted] = Counts.try_emplace(Bound);

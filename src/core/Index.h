@@ -29,8 +29,13 @@
 ///    table with the same bound in one search phase.
 ///
 /// Constant arguments are NOT part of the cache key: queries narrow to
-/// their constants with a binary search at execution time, so rules that
-/// differ only in literal values share one index.
+/// their constants with a binary search in QueryExecutor::prepare, so
+/// rules that differ only in literal values share one index.
+///
+/// The cache is not thread-safe. Only prepare() calls into it, and the
+/// engine runs every prepare on one thread before any join; the joins
+/// then read the prepared entries' row ids concurrently (DESIGN.md
+/// "Parallel matching").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +62,7 @@ enum class AtomFilter : uint8_t {
 /// expansion over \p NumAtoms atoms (§4.3): atom Variant restricted to
 /// New, atoms before it to Old, atoms after it unrestricted. The engine
 /// precomputes one filter vector per (rule, variant) from it, and the
-/// warm-up contract tests rebuild the same variants.
+/// prepare/join contract tests rebuild the same variants.
 inline void makeDeltaVariantFilters(std::vector<AtomFilter> &Filters,
                                     size_t Variant, size_t NumAtoms) {
   Filters.assign(NumAtoms, AtomFilter::All);
@@ -114,21 +119,8 @@ public:
   const ColumnIndex &get(const std::vector<unsigned> &Perm, AtomFilter Filter,
                          uint32_t DeltaBound);
 
-  /// Read-only get(): the cached index for the key if it is fresh at the
-  /// table's current version, else nullptr. Never builds, refreshes,
-  /// sweeps, or bumps a stats counter, so concurrent match workers can
-  /// probe one cache safely (DESIGN.md "Parallel matching");
-  /// a single-threaded QueryExecutor::warm pass is what populates it.
-  const ColumnIndex *peek(const std::vector<unsigned> &Perm,
-                          AtomFilter Filter, uint32_t DeltaBound) const;
-
   /// (old, new) live-row counts split at \p Bound; cached per version.
   std::pair<size_t, size_t> partitionCounts(uint32_t Bound);
-
-  /// Read-only partitionCounts(): false unless the counts for \p Bound
-  /// were cached at the table's current version (by a warm pass).
-  bool peekPartitionCounts(uint32_t Bound,
-                           std::pair<size_t, size_t> &Out) const;
 
   /// Drops every cached entry (full bulk invalidation).
   void invalidate();

@@ -29,19 +29,21 @@ struct AtomCol {
 /// change between executions.
 struct AtomExec {
   const QueryAtom *Atom = nullptr;
-  /// Sorted candidate row ids, borrowed from the table's IndexCache.
-  /// Stable because queries never mutate tables.
+  /// Sorted candidate row ids, borrowed from the table's IndexCache by
+  /// prepare(). Stable until the table is next mutated.
   const std::vector<uint32_t> *Rows = nullptr;
   /// Base pointer of each term position's column array in the columnar
   /// table storage: ColBase[Pos][(*Rows)[I]] is candidate I's value at
-  /// term position Pos. Captured per execution; stable because queries
-  /// never mutate tables.
+  /// term position Pos. Captured by prepare(); stable until the table is
+  /// next mutated.
   std::vector<const Value *> ColBase;
+  /// Table version at prepare(), for join()'s freshness assertion.
+  uint64_t PreparedVersion = 0;
   /// The atom's distinct variables, re-sorted to global variable order at
   /// the start of every execution.
   std::vector<AtomCol> Cols;
   /// Constant term positions in term order (the leading columns of the
-  /// index permutation); values are re-canonicalized per execution.
+  /// index permutation); values are re-canonicalized by every prepare().
   std::vector<std::pair<unsigned, Value>> Consts;
   size_t Lo = 0, Hi = 0;
   /// Number of leading columns already bound at the current depth.
@@ -129,7 +131,7 @@ size_t gallopUpperBoundIds(const uint32_t *Ids, const Value *Col, size_t Lo,
 
 /// The generic-join interpreter. One instance per query, reusable across
 /// executions: all buffers persist, so a rule's semi-naïve delta variants
-/// and repeated engine iterations run allocation-free after warm-up.
+/// and repeated engine iterations run allocation-free in the steady state.
 struct egglog::QueryExecutor::Impl {
   Impl(EGraph &Graph, const Query &Q) : Graph(Graph), Q(Q) {
     // Precompute each atom's shape: join columns (with repeated variable
@@ -160,38 +162,38 @@ struct egglog::QueryExecutor::Impl {
     }
   }
 
-  void execute(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound,
-               std::vector<Value> &Arena, size_t &Count,
-               const std::function<bool()> *TheCancel) {
+  bool prepare(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound) {
+    Prepared = materialize(Filters, DeltaBound);
+    return Prepared;
+  }
+
+  void join(std::vector<Value> &Arena, size_t &Count,
+            const std::function<bool()> *TheCancel) {
+    if (!Prepared)
+      return;
+#ifndef NDEBUG
+    for (const AtomExec &Exec : Atoms)
+      assert(Graph.function(Exec.Atom->Func).Storage->version() ==
+                 Exec.PreparedVersion &&
+             "join() after the database changed since prepare()");
+#endif
     CollectArena = &Arena;
     CollectCount = &Count;
     Cancel = TheCancel;
     StepCount = 0;
     Cancelled = false;
-    run(Filters, DeltaBound);
+    run();
     CollectArena = nullptr;
     CollectCount = nullptr;
     Cancel = nullptr;
-    ReadOnly = false;
   }
-
-  /// Runs materialize() alone, for its side effects: after this, an
-  /// execution of the same variant against the unchanged database finds
-  /// every index, partition count, and canonical constant already cached.
-  void warm(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound) {
-    ReadOnly = false;
-    materialize(Filters, DeltaBound);
-  }
-
-  /// When set, materialize() only peeks at caches (no builds, refreshes,
-  /// or canonicalization) — the parallel match phase's contract. Armed by
-  /// executeCollectReadOnly, reset by every entry point.
-  bool ReadOnly = false;
 
 private:
   EGraph &Graph;
   const Query &Q;
-  /// Match sink, armed for one execute(): a flat arena (NumVars values per
+  /// Whether the last prepare() found candidates for every atom.
+  bool Prepared = false;
+  /// Match sink, armed for one join(): a flat arena (NumVars values per
   /// match) plus a match counter.
   std::vector<Value> *CollectArena = nullptr;
   size_t *CollectCount = nullptr;
@@ -236,9 +238,7 @@ private:
   };
   std::vector<LevelScratch> Levels;
 
-  void run(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound) {
-    if (!materialize(Filters, DeltaBound))
-      return;
+  void run() {
     Env.assign(Q.NumVars, Value());
     BoundFlags.assign(Q.NumVars, false);
     PrimDone.assign(Q.Prims.size(), false);
@@ -274,22 +274,8 @@ private:
           *Graph.function(Atoms[AtomIndex].Atom->Func).Storage;
       size_t Size = T.liveCount();
       if (Filter != AtomFilter::All) {
-        if (ReadOnly) {
-          // A read-only execution replays exactly the sequence its warm()
-          // ran (same filters, unchanged database), so every count it
-          // needs — up to and including the atom warm() bailed at — is
-          // cached at the current version.
-          const IndexCache *Cache = T.indexCacheIfBuilt();
-          std::pair<size_t, size_t> Split;
-          bool Cached = Cache && Cache->peekPartitionCounts(DeltaBound, Split);
-          assert(Cached && "read-only execution without a fresh warm()");
-          if (!Cached)
-            return false;
-          Size = Filter == AtomFilter::Old ? Split.first : Split.second;
-        } else {
-          auto [Old, New] = T.indexes().partitionCounts(DeltaBound);
-          Size = Filter == AtomFilter::Old ? Old : New;
-        }
+        auto [Old, New] = T.indexes().partitionCounts(DeltaBound);
+        Size = Filter == AtomFilter::Old ? Old : New;
       }
       if (Size == 0)
         return false;
@@ -313,12 +299,7 @@ private:
                     });
       Perm.clear();
       for (auto &[Pos, Const] : Exec.Consts) {
-        // Read-only executions reuse the canonical constants their warm()
-        // stored here: canonicalize can write (union-find path
-        // compression, set re-interning) and the database has not changed
-        // since the warm pass, so the stored values are still canonical.
-        if (!ReadOnly)
-          Const = Graph.canonicalize(Exec.Atom->Terms[Pos].Const);
+        Const = Graph.canonicalize(Exec.Atom->Terms[Pos].Const);
         Perm.push_back(Pos);
       }
       for (const AtomCol &Col : Exec.Cols)
@@ -326,22 +307,14 @@ private:
           Perm.push_back(Pos);
 
       const Table &T = *Graph.function(Exec.Atom->Func).Storage;
-      const ColumnIndex *Index;
-      if (ReadOnly) {
-        const IndexCache *Cache = T.indexCacheIfBuilt();
-        Index = Cache ? Cache->peek(Perm, Filter, DeltaBound) : nullptr;
-        assert(Index && "read-only execution without a fresh warm()");
-        if (!Index)
-          return false;
-      } else {
-        Index = &T.indexes().get(Perm, Filter, DeltaBound);
-      }
-      Exec.Rows = &Index->ids();
+      const ColumnIndex &Index = T.indexes().get(Perm, Filter, DeltaBound);
+      Exec.Rows = &Index.ids();
       Exec.ColBase.resize(Exec.Atom->Terms.size());
       for (unsigned P = 0; P < Exec.ColBase.size(); ++P)
         Exec.ColBase[P] = T.column(P);
+      Exec.PreparedVersion = T.version();
       Exec.Lo = 0;
-      Exec.Hi = Index->size();
+      Exec.Hi = Index.size();
       Exec.Depth = 0;
       for (const auto &[Pos, Const] : Exec.Consts)
         if (!narrowOn(Exec, Pos, Const))
@@ -705,24 +678,22 @@ QueryExecutor::~QueryExecutor() = default;
 QueryExecutor::QueryExecutor(QueryExecutor &&) noexcept = default;
 QueryExecutor &QueryExecutor::operator=(QueryExecutor &&) noexcept = default;
 
+bool QueryExecutor::prepare(const std::vector<AtomFilter> &Filters,
+                            uint32_t DeltaBound) {
+  return I->prepare(Filters, DeltaBound);
+}
+
+void QueryExecutor::join(std::vector<Value> &Arena, size_t &Count,
+                         const std::function<bool()> *Cancel) {
+  I->join(Arena, Count, Cancel);
+}
+
 void QueryExecutor::executeCollect(const std::vector<AtomFilter> &Filters,
                                    uint32_t DeltaBound,
                                    std::vector<Value> &Arena, size_t &Count,
                                    const std::function<bool()> *Cancel) {
-  I->execute(Filters, DeltaBound, Arena, Count, Cancel);
-}
-
-void QueryExecutor::warm(const std::vector<AtomFilter> &Filters,
-                         uint32_t DeltaBound) {
-  I->warm(Filters, DeltaBound);
-}
-
-void QueryExecutor::executeCollectReadOnly(
-    const std::vector<AtomFilter> &Filters, uint32_t DeltaBound,
-    std::vector<Value> &Arena, size_t &Count,
-    const std::function<bool()> *Cancel) {
-  I->ReadOnly = true;
-  I->execute(Filters, DeltaBound, Arena, Count, Cancel);
+  I->prepare(Filters, DeltaBound);
+  I->join(Arena, Count, Cancel);
 }
 
 void egglog::executeQuery(EGraph &Graph, const Query &Q,

@@ -44,8 +44,17 @@ using MatchCallback = std::function<void(const std::vector<Value> &)>;
 /// Reusable execution context for one query. The atom shapes are analyzed
 /// once at construction and the join scratch buffers persist across
 /// executions, so a rule's semi-naïve delta variants and repeated engine
-/// iterations run allocation-free after warm-up. The referenced Query (and
-/// EGraph) must outlive the executor.
+/// iterations run allocation-free in the steady state. The referenced
+/// Query (and EGraph) must outlive the executor.
+///
+/// An execution is two steps. prepare() does every lazy database-side
+/// step: partition counts, the variable order, index builds and refreshes,
+/// re-canonicalization of the query's constants, and narrowing to them.
+/// join() then enumerates the matches over the prepared ranges and touches
+/// no cache, so joins of different executors may run concurrently over one
+/// database, provided the database is not mutated between their prepares
+/// and their joins and the query's primitives are themselves read-only
+/// (the engine checks this; see Engine.cpp queryIsParallelSafe).
 class QueryExecutor {
 public:
   QueryExecutor(EGraph &Graph, const Query &Q);
@@ -53,37 +62,26 @@ public:
   QueryExecutor(QueryExecutor &&) noexcept;
   QueryExecutor &operator=(QueryExecutor &&) noexcept;
 
-  /// Runs one filter variant (see executeQuery below for the semantics of
-  /// \p Filters and \p DeltaBound), appending each match's environment
-  /// (NumVars values) to \p Arena and bumping \p Count — the engine's hot
-  /// path, free of per-match indirect calls. If \p Cancel is provided it
-  /// is polled periodically; returning true aborts the search (used to
-  /// enforce run timeouts inside a single large join).
+  /// Plans one filter variant (see executeQuery below for the semantics of
+  /// \p Filters and \p DeltaBound) and resolves each atom to its narrowed
+  /// index range. Returns false if the variant has no match (some atom has
+  /// no candidate rows); the next join() then finds nothing.
+  bool prepare(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound);
+
+  /// Runs the join planned by the last prepare(), appending each match's
+  /// environment (NumVars values) to \p Arena and bumping \p Count — the
+  /// engine's hot path, free of per-match indirect calls. If \p Cancel is
+  /// provided it is polled periodically; returning true aborts the search
+  /// (used to enforce run timeouts inside a single large join). The
+  /// database must be unchanged since that prepare().
+  void join(std::vector<Value> &Arena, size_t &Count,
+            const std::function<bool()> *Cancel = nullptr);
+
+  /// prepare() then join().
   void executeCollect(const std::vector<AtomFilter> &Filters,
                       uint32_t DeltaBound, std::vector<Value> &Arena,
                       size_t &Count,
                       const std::function<bool()> *Cancel = nullptr);
-
-  /// Parallel match warm-up (single-threaded): performs every lazy
-  /// mutation the matching execute of this filter variant would otherwise
-  /// trigger on the read path — index-cache builds and refreshes,
-  /// stamp-partition counts, and re-canonicalization of the query's
-  /// constant terms (cached on the executor) — so that, until the database
-  /// is next mutated, executeCollectReadOnly with the same filters touches
-  /// the database strictly read-only.
-  void warm(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound);
-
-  /// Strictly read-only executeCollect: probes only the caches a prior
-  /// warm() of this variant populated (asserting they are still fresh)
-  /// and never canonicalizes through the union-find, so executors running
-  /// concurrently over one database cannot race. The caller guarantees
-  /// warm() ran with the same filters against the unchanged database and
-  /// that the query's primitives are themselves read-only (the engine
-  /// checks both; see Engine.cpp queryIsParallelSafe).
-  void executeCollectReadOnly(const std::vector<AtomFilter> &Filters,
-                              uint32_t DeltaBound, std::vector<Value> &Arena,
-                              size_t &Count,
-                              const std::function<bool()> *Cancel = nullptr);
 
 private:
   struct Impl;

@@ -140,11 +140,6 @@ public:
   /// work for tables that never built a cache.
   bool hasIndexCache() const { return Indexes != nullptr; }
 
-  /// The index cache if one was ever created, else null. The engine's
-  /// read-only match phase probes through this instead of indexes() so a
-  /// concurrent probe can never lazily allocate the cache.
-  const IndexCache *indexCacheIfBuilt() const { return Indexes.get(); }
-
   //===--------------------------------------------------------------------===
   // Reverse occurrence index (incremental rebuilding, §5.1)
   //===--------------------------------------------------------------------===

@@ -58,8 +58,7 @@ struct AnalysisResult {
   bool TimedOut = false;
   double Seconds = 0;
   /// Seconds spent in the engine's match phase (egglog systems only;
-  /// zero for the Datalog and classic baselines). Includes the warm-up
-  /// pre-pass when running multi-threaded.
+  /// zero for the Datalog and classic baselines): prepare plus join.
   double SearchSeconds = 0;
   /// Seconds spent in the engine's apply phase (egglog systems only).
   double ApplySeconds = 0;

@@ -13,13 +13,18 @@
 /// terms — goes through formatF64 instead, which uses std::to_chars: the
 /// shortest decimal string that parses back to exactly the same bits.
 ///
+/// The tools' numeric command-line flags parse through parseWhole, which
+/// rejects what atoi/atof would silently read as 0 or a prefix.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EGGLOG_SUPPORT_NUMBERFORMAT_H
 #define EGGLOG_SUPPORT_NUMBERFORMAT_H
 
+#include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <string>
 
 namespace egglog {
@@ -41,6 +46,21 @@ inline std::string formatF64(double D) {
   if (Text.find_first_of(".eE") == std::string::npos)
     Text += ".0";
   return Text;
+}
+
+/// Parses all of \p Text as a number (strtoll / strtod): false on an empty
+/// string, trailing characters, or a value out of range.
+inline bool parseWhole(const char *Text, long long &Out) {
+  char *End = nullptr;
+  errno = 0;
+  Out = std::strtoll(Text, &End, 10);
+  return End != Text && *End == '\0' && errno != ERANGE;
+}
+inline bool parseWhole(const char *Text, double &Out) {
+  char *End = nullptr;
+  errno = 0;
+  Out = std::strtod(Text, &End);
+  return End != Text && *End == '\0' && errno != ERANGE;
 }
 
 } // namespace egglog

@@ -7,12 +7,14 @@
 // recursive builder, DAG versus tree cost, shortest round-trip f64
 // rendering, and the negative-:cost diagnostics. The randomized driver
 // holds the incremental index's costs identical to the from-scratch
-// reference fixpoint across union/insert/run/push/pop sequences.
+// reference fixpoint (oracle/Reference.h) across union/insert/run/push/pop
+// sequences.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Extract.h"
 #include "core/Frontend.h"
+#include "oracle/Reference.h"
 #include "support/FailPoints.h"
 #include "support/NumberFormat.h"
 
@@ -555,7 +557,7 @@ private:
     if (G.needsRebuild())
       G.rebuild();
     std::unordered_map<uint64_t, int64_t> Reference =
-        extractCostsReference(G);
+        oracle::extractCostsReference(G);
     // Refresh once, then compare every class both ways: each reference
     // entry must match, and every id without a reference entry must be
     // Infinity in the index too.

@@ -8,9 +8,10 @@
 // union/insert/run/push/pop sequence against engines at threads 1, 2, and
 // 8 and compares after every run; the shipped Herbie phased schedule and a
 // two-ruleset BackOff schedule over a lattice are compared at threads 1
-// and 4; and the warm-up contract — after QueryExecutor::warm, a read-only
-// execution performs no Index build or Table version bump — is checked
-// directly against the index stats.
+// and 4; the prepare/join contract — after QueryExecutor::prepare, join
+// performs no Index build, refresh or derivation and no Table version
+// bump — is checked directly against the index stats; and the thread
+// pool's claim loop and exception path are tested on their own.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +28,7 @@
 
 #include <atomic>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 using namespace egglog;
@@ -359,7 +361,7 @@ TEST(PhaseDeterminismTest, BackoffScheduleAcrossThreads) {
 }
 
 //===----------------------------------------------------------------------===
-// Warm-up contract
+// Prepare/join contract
 //===----------------------------------------------------------------------===
 
 /// edge relation over i64 pairs plus the triangle query edge(x,y) ∧
@@ -403,14 +405,14 @@ TEST(WarmUpContractTest, ReadOnlyExecutionAfterWarm) {
   TriangleDb Db;
   Db.addEdges(300, 5);
 
-  // Reference matches through the classic mutating path.
+  // Reference matches through prepare+join in one call.
   QueryExecutor Reference(Db.G, Db.Q);
   std::vector<Value> Expected;
   size_t ExpectedCount = 0;
   Reference.executeCollect({}, 0, Expected, ExpectedCount);
 
   QueryExecutor Exec(Db.G, Db.Q);
-  Exec.warm({}, 0);
+  ASSERT_TRUE(Exec.prepare({}, 0));
 
   const Table &T = *Db.G.function(Db.Edge).Storage;
   uint64_t VersionBefore = T.version();
@@ -418,13 +420,13 @@ TEST(WarmUpContractTest, ReadOnlyExecutionAfterWarm) {
 
   std::vector<Value> Got;
   size_t GotCount = 0;
-  Exec.executeCollectReadOnly({}, 0, Got, GotCount);
+  Exec.join(Got, GotCount);
 
   // Same matches in the same order...
   EXPECT_EQ(GotCount, ExpectedCount);
   EXPECT_EQ(Got, Expected);
   // ...with zero database-side work: no version bump and no index
-  // builds/refreshes/derivations after the warm pre-pass.
+  // builds/refreshes/derivations after prepare.
   EXPECT_EQ(T.version(), VersionBefore);
   IndexCache::Stats After = T.indexes().stats();
   EXPECT_EQ(After.Builds, Before.Builds);
@@ -439,60 +441,101 @@ TEST(WarmUpContractTest, ReadOnlyDeltaVariantsAfterWarm) {
   uint32_t Bound = Db.G.timestamp();
   Db.addEdges(80, 7); // the "new" partition
 
+  // As in the engine: every variant is prepared on its own executor
+  // before any of them joins, so a later prepare (deriving another
+  // partition) must leave the earlier prepared state intact.
   size_t NumAtoms = Db.Q.Atoms.size();
+  std::vector<std::vector<AtomFilter>> Filters(NumAtoms);
+  std::vector<QueryExecutor> Execs;
   for (size_t Variant = 0; Variant < NumAtoms; ++Variant) {
-    std::vector<AtomFilter> Filters;
-    makeDeltaVariantFilters(Filters, Variant, NumAtoms);
+    makeDeltaVariantFilters(Filters[Variant], Variant, NumAtoms);
+    Execs.emplace_back(Db.G, Db.Q);
+    ASSERT_TRUE(Execs[Variant].prepare(Filters[Variant], Bound))
+        << "variant " << Variant;
+  }
 
-    QueryExecutor Reference(Db.G, Db.Q);
-    std::vector<Value> Expected;
-    size_t ExpectedCount = 0;
-    Reference.executeCollect(Filters, Bound, Expected, ExpectedCount);
-
-    QueryExecutor Exec(Db.G, Db.Q);
-    Exec.warm(Filters, Bound);
-    const Table &T = *Db.G.function(Db.Edge).Storage;
+  const Table &T = *Db.G.function(Db.Edge).Storage;
+  for (size_t Variant = 0; Variant < NumAtoms; ++Variant) {
     uint64_t VersionBefore = T.version();
     IndexCache::Stats Before = T.indexes().stats();
 
     std::vector<Value> Got;
     size_t GotCount = 0;
-    Exec.executeCollectReadOnly(Filters, Bound, Got, GotCount);
+    Execs[Variant].join(Got, GotCount);
 
-    EXPECT_EQ(GotCount, ExpectedCount) << "variant " << Variant;
-    EXPECT_EQ(Got, Expected) << "variant " << Variant;
     EXPECT_EQ(T.version(), VersionBefore) << "variant " << Variant;
     IndexCache::Stats After = T.indexes().stats();
     EXPECT_EQ(After.Builds, Before.Builds) << "variant " << Variant;
     EXPECT_EQ(After.Refreshes, Before.Refreshes) << "variant " << Variant;
     EXPECT_EQ(After.Derivations, Before.Derivations) << "variant " << Variant;
+
+    QueryExecutor Reference(Db.G, Db.Q);
+    std::vector<Value> Expected;
+    size_t ExpectedCount = 0;
+    Reference.executeCollect(Filters[Variant], Bound, Expected,
+                             ExpectedCount);
+    EXPECT_EQ(GotCount, ExpectedCount) << "variant " << Variant;
+    EXPECT_EQ(Got, Expected) << "variant " << Variant;
   }
 }
 
-TEST(WarmUpContractTest, EngineMatchPhaseKeepsVersionsStable) {
-  // End to end: a parallel run's match phases must not bump any table
-  // version except through apply/rebuild. Saturate first, then run once
-  // more — the extra iteration is pure matching (no new tuples), so every
-  // version must stay put.
-  Frontend F;
-  ASSERT_TRUE(F.execute(R"(
-    (relation edge (i64 i64))
-    (relation path (i64 i64))
-    (rule ((edge x y)) ((path x y)))
-    (rule ((path x y) (edge y z)) ((path x z)))
-    (edge 0 1) (edge 1 2) (edge 2 3) (edge 3 4)
-  )")) << F.error();
-  F.engine().setThreads(4);
-  ASSERT_TRUE(F.execute("(run 100)")) << F.error();
+TEST(WarmUpContractTest, PrepareRejectsEmptyDeltaVariant) {
+  // Nothing is stamped at or after the bound, so the New atom of every
+  // delta variant has no candidates: prepare() says so, and join() then
+  // finds nothing without touching the database.
+  TriangleDb Db;
+  Db.addEdges(100, 8);
+  Db.G.bumpTimestamp();
+  uint32_t Bound = Db.G.timestamp();
 
-  EGraph &G = F.graph();
-  std::vector<uint64_t> Versions;
-  for (size_t Fn = 0; Fn < G.numFunctions(); ++Fn)
-    Versions.push_back(G.function(Fn).Storage->version());
-  ASSERT_TRUE(F.execute("(run 1)")) << F.error();
-  for (size_t Fn = 0; Fn < G.numFunctions(); ++Fn)
-    EXPECT_EQ(G.function(Fn).Storage->version(), Versions[Fn])
-        << "function " << Fn << " mutated during a no-op match phase";
+  std::vector<AtomFilter> Filters;
+  makeDeltaVariantFilters(Filters, 1, Db.Q.Atoms.size());
+  QueryExecutor Exec(Db.G, Db.Q);
+  EXPECT_FALSE(Exec.prepare(Filters, Bound));
+
+  const Table &T = *Db.G.function(Db.Edge).Storage;
+  uint64_t VersionBefore = T.version();
+  IndexCache::Stats Before = T.indexes().stats();
+  std::vector<Value> Got;
+  size_t GotCount = 0;
+  Exec.join(Got, GotCount);
+  EXPECT_EQ(GotCount, 0u);
+  EXPECT_TRUE(Got.empty());
+  EXPECT_EQ(T.version(), VersionBefore);
+  IndexCache::Stats After = T.indexes().stats();
+  EXPECT_EQ(After.Builds, Before.Builds);
+  EXPECT_EQ(After.Refreshes, Before.Refreshes);
+  EXPECT_EQ(After.Derivations, Before.Derivations);
+  EXPECT_EQ(After.Hits, Before.Hits);
+}
+
+TEST(WarmUpContractTest, EngineMatchPhaseKeepsVersionsStable) {
+  // End to end: a run's match phases must not bump any table version
+  // except through apply/rebuild, at one thread and fanned out. Saturate
+  // first, then run once more — the extra iteration is pure matching (no
+  // new tuples), so every version must stay put.
+  for (unsigned Threads : {1u, 4u}) {
+    Frontend F;
+    ASSERT_TRUE(F.execute(R"(
+      (relation edge (i64 i64))
+      (relation path (i64 i64))
+      (rule ((edge x y)) ((path x y)))
+      (rule ((path x y) (edge y z)) ((path x z)))
+      (edge 0 1) (edge 1 2) (edge 2 3) (edge 3 4)
+    )")) << F.error();
+    F.engine().setThreads(Threads);
+    ASSERT_TRUE(F.execute("(run 100)")) << F.error();
+
+    EGraph &G = F.graph();
+    std::vector<uint64_t> Versions;
+    for (size_t Fn = 0; Fn < G.numFunctions(); ++Fn)
+      Versions.push_back(G.function(Fn).Storage->version());
+    ASSERT_TRUE(F.execute("(run 1)")) << F.error();
+    for (size_t Fn = 0; Fn < G.numFunctions(); ++Fn)
+      EXPECT_EQ(G.function(Fn).Storage->version(), Versions[Fn])
+          << "function " << Fn << " mutated during a no-op match phase at "
+          << Threads << " threads";
+  }
 }
 
 //===----------------------------------------------------------------------===
@@ -513,6 +556,47 @@ TEST(ThreadPoolTest, CoversEveryIndexAcrossJobs) {
     for (size_t I = 0; I < N; ++I)
       ASSERT_EQ(Hits[I].load(), 1u) << "item " << I << " of job " << Job;
   }
+}
+
+TEST(ThreadPoolTest, ErrorRethrownAfterEveryItemRan) {
+  ThreadPool Pool(4);
+  constexpr size_t N = 64;
+  std::vector<std::atomic<unsigned>> Hits(N);
+  auto Job = [&](size_t I) {
+    if (I == 3 || I == 40)
+      throw std::runtime_error("item " + std::to_string(I));
+    Hits[I].fetch_add(1, std::memory_order_relaxed);
+  };
+  bool Thrown = false;
+  try {
+    Pool.parallelFor(N, Job);
+  } catch (const std::runtime_error &Error) {
+    Thrown = true;
+    std::string What = Error.what();
+    EXPECT_TRUE(What == "item 3" || What == "item 40") << What;
+    // By the time the error reaches the caller, every other item has run
+    // exactly once.
+    for (size_t I = 0; I < N; ++I)
+      EXPECT_EQ(Hits[I].load(), I == 3 || I == 40 ? 0u : 1u) << "item " << I;
+  }
+  EXPECT_TRUE(Thrown);
+}
+
+TEST(ThreadPoolTest, CompletesJobAfterError) {
+  ThreadPool Pool(4);
+  EXPECT_THROW(Pool.parallelFor(16,
+                                [](size_t I) {
+                                  if (I == 0)
+                                    throw std::runtime_error("first");
+                                }),
+               std::runtime_error);
+  // The same pool, with the error consumed, runs the next job in full.
+  std::vector<std::atomic<unsigned>> Hits(100);
+  Pool.parallelFor(Hits.size(), [&](size_t I) {
+    Hits[I].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (size_t I = 0; I < Hits.size(); ++I)
+    ASSERT_EQ(Hits[I].load(), 1u) << "item " << I;
 }
 
 TEST(ThreadPoolTest, SingleThreadRunsInline) {

@@ -17,8 +17,14 @@
 // applies matches in another order and mints ids in another order), so no
 // raw id of an id sort is ever compared.
 //
+// After every run the engine's incremental ExtractIndex must also give
+// every class the cost of the from-scratch fixpoint
+// (extractCostsReference), over whatever history of runs, unions, pushes
+// and pops the program had.
+//
 //===----------------------------------------------------------------------===//
 
+#include "core/Extract.h"
 #include "oracle/ProgramGen.h"
 #include "oracle/Reference.h"
 
@@ -26,6 +32,7 @@
 
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 using namespace egglog;
 using namespace egglog::oracle;
@@ -108,6 +115,30 @@ std::string compare(Frontend &E, Frontend &R) {
   return "";
 }
 
+/// Describes the first class whose ExtractIndex cost differs from the
+/// from-scratch reference, or returns the empty string.
+std::string extractCostMismatch(EGraph &G) {
+  const SortId *IdSort = nullptr;
+  for (FunctionId F = 0; F < G.numFunctions() && !IdSort; ++F)
+    if (G.sorts().isIdSort(G.function(F).Decl.OutSort))
+      IdSort = &G.function(F).Decl.OutSort;
+  if (!IdSort)
+    return "";
+  ExtractIndex &Idx = G.extractIndex();
+  Idx.refresh(G);
+  std::unordered_map<uint64_t, int64_t> Reference = extractCostsReference(G);
+  for (uint64_t Id = 0; Id < G.unionFind().size(); ++Id) {
+    auto It = Reference.find(G.unionFind().find(Id));
+    int64_t Expected =
+        It == Reference.end() ? ExtractIndex::Infinity : It->second;
+    int64_t Got = Idx.costOf(G, Value(*IdSort, Id));
+    if (Got != Expected)
+      return "extraction cost of id " + std::to_string(Id) + ": index " +
+             std::to_string(Got) + ", reference " + std::to_string(Expected);
+  }
+  return "";
+}
+
 std::string programText(const std::vector<GenCommand> &Program) {
   std::ostringstream Out;
   for (const GenCommand &C : Program)
@@ -141,6 +172,8 @@ void checkSeed(uint32_t Seed) {
         << R.graph().errorMessage() << "\n" << Where();
     std::string Diff = compare(E, R);
     ASSERT_TRUE(Diff.empty()) << Diff << "\n" << Where();
+    std::string Costs = extractCostMismatch(E.graph());
+    ASSERT_TRUE(Costs.empty()) << Costs << "\n" << Where();
   }
 }
 

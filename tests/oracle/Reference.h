@@ -14,6 +14,8 @@
 //   * referenceRun is naive evaluation (§4.2): each iteration matches every
 //     rule of a ruleset from scratch, applies the matches in order, and
 //     sweeps.
+//   * extractCostsReference is the from-scratch extraction cost fixpoint
+//     (§3.4), for checking the engine's incremental ExtractIndex.
 //
 // Every tests/**/*.cpp file is its own test executable, so this lives in a
 // header.
@@ -25,7 +27,9 @@
 
 #include "core/Frontend.h"
 
+#include <limits>
 #include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -238,6 +242,50 @@ inline void referenceRun(Frontend &F, RulesetId Ruleset, unsigned N) {
         G.liveContentHash() == HashBefore)
       return;
   }
+}
+
+/// From-scratch extraction cost fixpoint: the cheapest tree cost per
+/// canonical id, by relaxing every live row of every id-sorted function
+/// until a pass lowers nothing. A row costs its function's declared cost
+/// plus its children's costs (1 per base value); a class no finite row
+/// reaches has no entry. Quadratic; meant for small test databases.
+inline std::unordered_map<uint64_t, int64_t>
+extractCostsReference(EGraph &G) {
+  constexpr int64_t Infinity = std::numeric_limits<int64_t>::max();
+  std::unordered_map<uint64_t, int64_t> Costs;
+  auto CostOf = [&](Value V) -> int64_t {
+    if (!G.sorts().isIdSort(V.Sort))
+      return 1;
+    auto It = Costs.find(G.unionFind().find(V.Bits));
+    return It == Costs.end() ? Infinity : It->second;
+  };
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (FunctionId Func = 0; Func < G.numFunctions(); ++Func) {
+      const FunctionInfo &Info = G.function(Func);
+      if (!G.sorts().isIdSort(Info.Decl.OutSort))
+        continue;
+      const Table &T = *Info.Storage;
+      for (size_t Row : T.liveRows()) {
+        int64_t Total = Info.Decl.Cost;
+        for (unsigned I = 0; I < Info.numKeys() && Total != Infinity; ++I) {
+          int64_t Child = CostOf(T.cell(Row, I));
+          Total = Child == Infinity || Total > Infinity - Child
+                      ? Infinity
+                      : Total + Child;
+        }
+        if (Total == Infinity)
+          continue;
+        uint64_t Out = G.unionFind().find(T.output(Row).Bits);
+        auto It = Costs.find(Out);
+        if (It == Costs.end() || Total < It->second) {
+          Costs[Out] = Total;
+          Changed = true;
+        }
+      }
+    }
+  }
+  return Costs;
 }
 
 } // namespace egglog::oracle

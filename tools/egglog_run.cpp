@@ -31,9 +31,9 @@
 #include "core/Extract.h"
 #include "core/Frontend.h"
 #include "support/Errors.h"
+#include "support/NumberFormat.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -97,12 +97,13 @@ int runProgram(Frontend &F, const std::string &Source,
 }
 
 /// --stats: per-phase totals over every (run ...) the programs executed,
-/// on stderr so program output stays pipeable.
+/// on stderr so program output stays pipeable. The match time includes
+/// its serial prepare step, shown in parentheses.
 void dumpStats(Frontend &F) {
   const Frontend::PhaseTotals &T = F.phaseTotals();
   std::fprintf(stderr,
                "phase stats: threads %u, iterations %zu, matches %zu\n"
-               "  match   %9.6fs (warm-up %9.6fs)\n"
+               "  match   %9.6fs (prepare %9.6fs)\n"
                "  apply   %9.6fs\n"
                "  rebuild %9.6fs\n",
                F.engine().threads(), T.Iterations, T.Matches,
@@ -166,21 +167,6 @@ private:
   Frontend Mirror;
   std::set<std::string> Seen;
 };
-
-/// Parses all of \p Text as a number (strtoll / strtod): false on an empty
-/// string, trailing characters, or a value out of range.
-bool parseWhole(const char *Text, long long &Out) {
-  char *End = nullptr;
-  errno = 0;
-  Out = std::strtoll(Text, &End, 10);
-  return End != Text && *End == '\0' && errno != ERANGE;
-}
-bool parseWhole(const char *Text, double &Out) {
-  char *End = nullptr;
-  errno = 0;
-  Out = std::strtod(Text, &End);
-  return End != Text && *End == '\0' && errno != ERANGE;
-}
 
 /// Runs (load "path") / (save "path") through the normal command path, so
 /// snapshot I/O gets the same transactional rollback and io-kind error
