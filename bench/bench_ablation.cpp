@@ -4,6 +4,9 @@
 // choices DESIGN.md calls out:
 //   * the worst-case-optimal generic join on triangle queries (§5.1),
 //   * semi-naïve vs naïve evaluation (§4.3),
+//   * the resource governor's steady-state checkpoint overhead (read
+//     BM_SemiNaiveTCGoverned against BM_SemiNaiveTC at the same argument;
+//     the target is under 2%),
 //   * rebuilding cost as unions accumulate (§5.1),
 //   * the core data structures (table, union-find),
 //   * the exact arithmetic under the Herbie interval analyses (BigInt
@@ -18,20 +21,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <string>
-#include <string_view>
 #include <vector>
 
 using namespace egglog;
 
 namespace {
-
-/// --threads N: match-phase concurrency for the engine-level benchmarks
-/// and the single-line JSON phase record emitted after the run.
-unsigned ThreadsFlag = 1;
 
 /// Builds an edge relation shaped like a sparse random graph.
 void populateEdges(EGraph &G, FunctionId Edge, unsigned Nodes,
@@ -77,13 +73,20 @@ void BM_GenericJoinTriangle(benchmark::State &State) {
   }
 }
 
-/// Transitive closure of a long chain: the semi-naïve sweet spot.
-void BM_TransitiveClosure(benchmark::State &State, bool SemiNaive) {
+/// Transitive closure of a long chain: the semi-naïve sweet spot. With
+/// \p Governed, every limit class is armed high enough never to trip, so
+/// each governor checkpoint runs its full poll.
+void BM_TransitiveClosure(benchmark::State &State, bool SemiNaive,
+                          bool Governed = false) {
   unsigned Length = static_cast<unsigned>(State.range(0));
   for (auto _ : State) {
     Frontend F;
-    F.engine().setThreads(ThreadsFlag);
     F.runOptions().SemiNaive = SemiNaive;
+    if (Governed) {
+      F.graph().governor().setTimeout(3600);
+      F.graph().governor().setMaxLive(size_t(1) << 40);
+      F.graph().governor().setMaxBytes(size_t(1) << 44);
+    }
     std::string Program = R"(
       (relation edge (i64 i64))
       (relation path (i64 i64))
@@ -106,6 +109,9 @@ void BM_SemiNaiveTC(benchmark::State &State) {
 }
 void BM_NaiveTC(benchmark::State &State) {
   BM_TransitiveClosure(State, /*SemiNaive=*/false);
+}
+void BM_SemiNaiveTCGoverned(benchmark::State &State) {
+  BM_TransitiveClosure(State, /*SemiNaive=*/true, /*Governed=*/true);
 }
 
 /// Rebuild cost: N terms f(x_i), then union \p Unions of the x_i pairwise
@@ -245,6 +251,7 @@ void BM_RationalNormalize(benchmark::State &State) {
 BENCHMARK(BM_GenericJoinTriangle)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_SemiNaiveTC)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK(BM_NaiveTC)->Arg(32)->Arg(64);
+BENCHMARK(BM_SemiNaiveTCGoverned)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK(BM_RebuildAfterUnions)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_RebuildSparseUnions)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_TableInsertLookup)->Arg(1000)->Arg(100000);
@@ -252,71 +259,19 @@ BENCHMARK(BM_UnionFind)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_BigIntDivmod)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_RationalNormalize)->Arg(32)->Arg(64)->Arg(128);
 
-namespace {
-
-/// One single-line JSON phase record mirroring bench_math/bench_pointsto:
-/// a dense transitive closure driven end to end at --threads N, with the
-/// engine's per-phase split, so the perf trajectory can attribute the
-/// match/apply cost even from the ablation artifact. On stderr, because
-/// stdout may be carrying --benchmark_format=json output.
-void emitPhaseRecord() {
-  Frontend F;
-  F.engine().setThreads(ThreadsFlag);
-  std::string Program = R"(
-    (relation edge (i64 i64))
-    (relation path (i64 i64))
-    (rule ((edge x y)) ((path x y)))
-    (rule ((path x y) (edge y z)) ((path x z)))
-  )";
-  // A chain plus chords: quadratic path count, join-heavy matching.
-  constexpr unsigned Length = 384;
-  for (unsigned I = 0; I < Length; ++I) {
-    Program += "(edge " + std::to_string(I) + " " + std::to_string(I + 1) +
-               ")\n";
-    if (I % 7 == 0)
-      Program +=
-          "(edge " + std::to_string(I) + " " + std::to_string(I / 2) + ")\n";
-  }
-  Program += "(run)\n";
-  if (!F.execute(Program)) {
-    std::fprintf(stderr, "phase record failed: %s\n", F.error().c_str());
-    return;
-  }
-  const Frontend::PhaseTotals &T = F.phaseTotals();
-  std::fprintf(stderr,
-               "{\"bench\": \"ablation_tc\", \"system\": \"egglog\", "
-               "\"iterations\": %zu, \"threads\": %u, \"match_s\": %.6f, "
-               "\"apply_s\": %.6f, \"rebuild_s\": %.6f, \"total_s\": %.6f}\n",
-               T.Iterations, ThreadsFlag, T.SearchSeconds, T.ApplySeconds,
-               T.RebuildSeconds,
-               T.SearchSeconds + T.ApplySeconds + T.RebuildSeconds);
-}
-
-} // namespace
-
-// BENCHMARK_MAIN(), plus the --threads flag (consumed here; everything
-// else is forwarded to Google Benchmark, e.g. --benchmark_format=json for
-// the CI artifacts).
+// BENCHMARK_MAIN(), plus the build's failpoint setting in the context
+// block: bench builds (-DBUILD_TESTING=OFF) compile the failpoints out, so
+// failpoints_compiled=0 makes their zero-cost-when-off claim checkable.
 int main(int argc, char **argv) {
-  std::vector<char *> Args;
-  for (int I = 0; I < argc; ++I) {
-    if (std::string_view(argv[I]) == "--threads") {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --threads\n");
-        return 1;
-      }
-      int N = std::atoi(argv[++I]);
-      ThreadsFlag = N < 1 ? 1u : static_cast<unsigned>(N);
-      continue;
-    }
-    Args.push_back(argv[I]);
-  }
-  int ForwardedArgc = static_cast<int>(Args.size());
-  benchmark::Initialize(&ForwardedArgc, Args.data());
-  if (benchmark::ReportUnrecognizedArguments(ForwardedArgc, Args.data()))
+#if EGGLOG_FAILPOINTS_ENABLED
+  benchmark::AddCustomContext("failpoints_compiled", "1");
+#else
+  benchmark::AddCustomContext("failpoints_compiled", "0");
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv))
     return 1;
   benchmark::RunSpecifiedBenchmarks();
-  emitPhaseRecord();
   benchmark::Shutdown();
   return 0;
 }

@@ -10,17 +10,22 @@
 // with a far-left outlier only the sound analysis solves).
 //
 // Usage: bench_herbie [iterations] [samples]
+//   Every value is a positive integer; anything else (garbage, trailing
+//   characters, a negative count) exits 1 with a message naming it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "herbie/Herbie.h"
+#include "support/NumberFormat.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 using namespace egglog::herbie;
+using egglog::parseWhole;
 
 namespace {
 
@@ -55,8 +60,22 @@ void printHistogram(const char *Title, const std::vector<double> &Diffs,
 
 int main(int argc, char **argv) {
   HerbieOptions Base;
-  Base.Iterations = argc > 1 ? std::atoi(argv[1]) : 12;
-  Base.Samples = argc > 2 ? std::atoi(argv[2]) : 150;
+  Base.Iterations = 12;
+  Base.Samples = 150;
+  const char *Names[] = {"iterations", "samples"};
+  unsigned *Values[] = {&Base.Iterations, &Base.Samples};
+  for (int I = 1; I < argc; ++I) {
+    if (I > 2) {
+      std::fprintf(stderr, "unexpected argument %s\n", argv[I]);
+      return 1;
+    }
+    long long N = 0;
+    if (!parseWhole(argv[I], N) || N < 1 || N > INT_MAX) {
+      std::fprintf(stderr, "%s expects a positive integer\n", Names[I - 1]);
+      return 1;
+    }
+    *Values[I - 1] = static_cast<unsigned>(N);
+  }
 
   const std::vector<Benchmark> &Suite = herbieSuite();
   std::printf("=== Figs. 11/12: mini-Herbie, %zu benchmarks, %u EqSat "

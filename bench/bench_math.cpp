@@ -10,6 +10,8 @@
 // headline speedups at the final iteration.
 //
 // Usage: bench_math [iterations] [node_limit] [--threads N]
+//   Every value is a positive integer; anything else (garbage, trailing
+//   characters, a negative count) exits 1 with a message naming it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,10 +19,13 @@
 
 #include "core/Frontend.h"
 #include "egraph/Runner.h"
+#include "support/NumberFormat.h"
 #include "support/Timer.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -133,21 +138,38 @@ Series runEgglog(bool SemiNaive, unsigned Iterations, size_t NodeLimit) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::vector<const char *> Positional;
+  unsigned Iterations = 30;
+  size_t NodeLimit = 400000;
+  unsigned Positionals = 0;
   for (int I = 1; I < argc; ++I) {
-    if (std::string(argv[I]) == "--threads") {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --threads\n");
+    const char *Arg = argv[I];
+    long long N = 0;
+    if (std::strcmp(Arg, "--threads") == 0) {
+      if (I + 1 >= argc || !parseWhole(argv[++I], N) || N < 1 ||
+          N > INT_MAX) {
+        std::fprintf(stderr, "--threads expects a positive integer\n");
         return 1;
       }
-      ThreadsFlag = std::max(1, std::atoi(argv[++I]));
+      ThreadsFlag = static_cast<unsigned>(N);
+    } else if (Positionals == 0) {
+      if (!parseWhole(Arg, N) || N < 1 || N > INT_MAX) {
+        std::fprintf(stderr, "iterations expects a positive integer\n");
+        return 1;
+      }
+      Iterations = static_cast<unsigned>(N);
+      ++Positionals;
+    } else if (Positionals == 1) {
+      if (!parseWhole(Arg, N) || N < 1) {
+        std::fprintf(stderr, "node_limit expects a positive integer\n");
+        return 1;
+      }
+      NodeLimit = static_cast<size_t>(N);
+      ++Positionals;
     } else {
-      Positional.push_back(argv[I]);
+      std::fprintf(stderr, "unexpected argument %s\n", Arg);
+      return 1;
     }
   }
-  unsigned Iterations = Positional.size() > 0 ? std::atoi(Positional[0]) : 30;
-  size_t NodeLimit =
-      Positional.size() > 1 ? std::atoll(Positional[1]) : 400000;
 
   std::printf("=== Fig. 7: math micro-benchmark (egg math suite, "
               "BackOff scheduler, %u iterations) ===\n",
@@ -213,12 +235,12 @@ int main(int argc, char **argv) {
     for (size_t I = Tail; I < S.RebuildPerIteration.size(); ++I)
       RebuildTail += S.RebuildPerIteration[I];
     std::printf("{\"bench\": \"%s\", \"system\": \"%s\", \"iterations\": "
-                "%zu, \"enodes\": %zu, \"threads\": %u, \"search_s\": %.6f, "
-                "\"match_s\": %.6f, \"apply_s\": %.6f, \"rebuild_s\": %.6f, "
+                "%zu, \"enodes\": %zu, \"threads\": %u, \"match_s\": %.6f, "
+                "\"apply_s\": %.6f, \"rebuild_s\": %.6f, "
                 "\"rebuild_tail_s\": %.6f, \"total_s\": %.6f}\n",
                 Bench, System, S.ENodes.size(), S.ENodes.back(), Threads,
-                S.SearchSeconds, S.SearchSeconds, S.ApplySeconds,
-                S.RebuildSeconds, RebuildTail, S.CumulativeSeconds.back());
+                S.SearchSeconds, S.ApplySeconds, S.RebuildSeconds,
+                RebuildTail, S.CumulativeSeconds.back());
   };
   // The egg baseline is always serial; only the egglog systems honor
   // --threads, and their records must say so or the trajectory would

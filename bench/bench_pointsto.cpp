@@ -166,9 +166,8 @@ int main(int argc, char **argv) {
   }
 
   // Machine-readable trajectory record (one JSON object per line): the
-  // full egglog system summed over every program in the suite. match_s
-  // duplicates search_s under the match phase's name so the trajectory
-  // can attribute wins per phase; threads records the match
+  // full egglog system summed over every program in the suite, with the
+  // match/apply/rebuild phase split; threads records the match
   // concurrency the record was taken at. max_rss_mb is the process peak
   // RSS (dominated by the largest program's tables at the largest scale),
   // and content_hash folds every program's post-run liveContentHash so
@@ -177,11 +176,11 @@ int main(int argc, char **argv) {
   std::printf("{\"bench\": \"pointsto\", \"system\": \"egglog\", "
               "\"programs\": %zu, \"timeouts\": %zu, \"threads\": %u, "
               "\"scale\": %.3f, "
-              "\"search_s\": %.6f, \"match_s\": %.6f, \"apply_s\": %.6f, "
+              "\"match_s\": %.6f, \"apply_s\": %.6f, "
               "\"rebuild_s\": %.6f, \"total_s\": %.6f, "
               "\"max_rss_mb\": %.1f, \"content_hash\": \"%" PRIx64 "\"}\n",
               Suite.size(), Timeouts[4], Threads, Scale, EgglogSearch,
-              EgglogSearch, EgglogApply, EgglogRebuild, EgglogTotal,
-              maxRssMb(), ContentHash);
+              EgglogApply, EgglogRebuild, EgglogTotal, maxRssMb(),
+              ContentHash);
   return 0;
 }

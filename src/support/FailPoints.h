@@ -14,9 +14,9 @@
 ///
 /// The macro compiles to nothing unless EGGLOG_FAILPOINTS_ENABLED is
 /// defined (the test build defines it; release/bench builds do not), so the
-/// steady-state cost in shipping binaries is exactly zero — bench_governor
-/// records `failpoints_compiled` so the claim is checkable from the bench
-/// artifact.
+/// steady-state cost in shipping binaries is exactly zero — bench_ablation
+/// records `failpoints_compiled` in its benchmark context so the claim is
+/// checkable from the bench artifact.
 ///
 /// Hit counting is a single process-global atomic, so "the k-th hit" is
 /// deterministic for serial commands and well-defined (first-to-increment)
