@@ -617,54 +617,11 @@ void EGraph::invalidateIndexes() {
 }
 
 //===----------------------------------------------------------------------===
-// Push/pop contexts
-//===----------------------------------------------------------------------===
-
-EGraph::Snapshot EGraph::snapshot() const {
-  Snapshot S;
-  S.UF = UF.snapshot();
-  S.Tables.reserve(Functions.size());
-  for (const auto &Info : Functions)
-    S.Tables.push_back(Info->Storage->snapshot());
-  S.NumSorts = SortsTable.size();
-  S.NumFunctions = Functions.size();
-  S.NumPrims = Prims.size();
-  S.Timestamp = Timestamp;
-  S.UnionsDirty = UnionsDirty;
-  return S;
-}
-
-void EGraph::restore(const Snapshot &S) {
-  assert(S.NumFunctions <= Functions.size() &&
-         S.NumFunctions == S.Tables.size() &&
-         "snapshot is from a different database");
-  // Drop declarations made since the snapshot (newest first).
-  for (size_t F = Functions.size(); F > S.NumFunctions; --F) {
-    FunctionNames.erase(Functions[F - 1]->Decl.Name);
-    Functions.pop_back();
-  }
-  SortsTable.truncate(S.NumSorts);
-  Prims.truncate(S.NumPrims);
-
-  for (size_t F = 0; F < S.NumFunctions; ++F)
-    Functions[F]->Storage->restore(S.Tables[F]);
-  UF.restore(S.UF);
-  Timestamp = S.Timestamp;
-  UnionsDirty = S.UnionsDirty;
-  // Restore resurrects killed rows and truncates appended ones, breaking
-  // the append-only/decrease-only assumptions of the extraction cache.
-  if (ExtractIdx)
-    ExtractIdx->invalidate();
-  clearError();
-}
-
-//===----------------------------------------------------------------------===
-// Command transactions
+// Transactions
 //===----------------------------------------------------------------------===
 
 EGraph::TxnMark EGraph::txnBegin() {
-  assert(!InTxn && "nested command transactions are not supported");
-  InTxn = true;
+  ++TxnDepth;
   TxnMark M;
   M.UF = UF.txnBegin();
   M.Tables.reserve(Functions.size());
@@ -685,6 +642,7 @@ void EGraph::adoptContent(std::vector<std::unique_ptr<Table>> NewTables,
                           bool NewUnionsDirty) noexcept {
   assert(NewTables.size() == Functions.size() &&
          "adoptContent needs one staged table per declared function");
+  assert(TxnDepth <= 1 && "adoptContent under an open (push) context");
   for (size_t F = 0; F < Functions.size(); ++F)
     Functions[F]->Storage = std::move(NewTables[F]);
   UF.adopt(std::move(UFParents), std::move(UFDirty), UnionCount);
@@ -698,16 +656,15 @@ void EGraph::adoptContent(std::vector<std::unique_ptr<Table>> NewTables,
 }
 
 void EGraph::txnCommit() {
-  assert(InTxn && "txnCommit without an open transaction");
-  InTxn = false;
+  assert(TxnDepth > 0 && "txnCommit without an open transaction");
+  --TxnDepth;
   UF.txnCommit();
 }
 
 void EGraph::txnRollback(const TxnMark &M) {
-  assert(InTxn && "txnRollback without an open transaction");
-  InTxn = false;
-  // Drop declarations made by the failed command (newest first), exactly as
-  // restore() does for popped contexts.
+  assert(TxnDepth > 0 && "txnRollback without an open transaction");
+  --TxnDepth;
+  // Drop declarations made since the mark (newest first).
   for (size_t F = Functions.size(); F > M.NumFunctions; --F) {
     FunctionNames.erase(Functions[F - 1]->Decl.Name);
     Functions.pop_back();

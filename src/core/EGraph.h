@@ -262,45 +262,18 @@ public:
   void invalidateIndexes();
 
   //===--------------------------------------------------------------------===
-  // Push/pop contexts
+  // Transactions: per-command rollback and (push)/(pop) contexts
   //===--------------------------------------------------------------------===
 
-  /// A frozen copy of the database for (push)/(pop): the union-find, one
-  /// Table::Snapshot per function, and the declaration counts so sorts,
-  /// functions, and primitives declared inside the context are dropped on
-  /// restore. Interned strings/rationals/sets are append-only and are
-  /// deliberately NOT rolled back (values interned inside an abandoned
-  /// context become unreachable, which is harmless).
-  struct Snapshot {
-    UnionFind::Snapshot UF;
-    std::vector<Table::Snapshot> Tables;
-    size_t NumSorts = 0;
-    size_t NumFunctions = 0;
-    size_t NumPrims = 0;
-    uint32_t Timestamp = 0;
-    bool UnionsDirty = false;
-  };
-
-  /// Captures the current database state. Cheap to take: the union-find
-  /// parent array plus one liveness bitmap per table; no row data is
-  /// copied (tables are append-only).
-  Snapshot snapshot() const;
-
-  /// Restores the exact state captured by \p S: every union, insertion,
-  /// update, deletion, and declaration made since is undone, and
-  /// liveContentHash() returns exactly its pre-snapshot value.
-  void restore(const Snapshot &S);
-
-  //===--------------------------------------------------------------------===
-  // Command transactions
-  //===--------------------------------------------------------------------===
-
-  /// A lightweight mark for per-command rollback. Where Snapshot copies the
-  /// union-find parent array and a liveness bitmap per table (the right
-  /// trade for long-lived (push) contexts), a TxnMark is O(#declarations):
-  /// per-table row counts plus a union-find write journal opened for the
-  /// duration. txnCommit is O(1); txnRollback pays only for what the failed
-  /// command actually did.
+  /// A rollback mark, O(#declarations): per-table row and kill-journal
+  /// counts, a copy of the pending rebuild worklist, and a union-find write
+  /// journal opened for the mark's lifetime. Marks nest LIFO: a (push)
+  /// context holds one open until its (pop), and each command inside it
+  /// opens and closes its own. txnCommit is O(1); txnRollback pays only
+  /// for what happened since the mark, so tables it never touched keep
+  /// their indexes warm. Interned strings, rationals and sets are
+  /// append-only and deliberately NOT rolled back (values interned past an
+  /// abandoned mark become unreachable, which is harmless).
   struct TxnMark {
     UnionFind::TxnMark UF;
     std::vector<Table::TxnMark> Tables;
@@ -317,20 +290,22 @@ public:
   /// declared function. noexcept by construction (unique_ptr and vector
   /// moves only), so the loader can run it between its last fallible step
   /// and txnCommit with no failure window; the open transaction's
-  /// union-find journal is poisoned (txnCommit never replays it). The
-  /// extraction index is invalidated and any pending error cleared.
+  /// union-find journal is poisoned (txnCommit never replays it), so no
+  /// outer mark may be open. The extraction index is invalidated and any
+  /// pending error cleared.
   void adoptContent(std::vector<std::unique_ptr<Table>> NewTables,
                     std::vector<uint64_t> UFParents,
                     std::vector<uint64_t> UFDirty, uint64_t UnionCount,
                     uint32_t NewTimestamp, bool NewUnionsDirty) noexcept;
 
-  /// Opens a command transaction (no nesting). Until txnCommit or
-  /// txnRollback, union-find parent writes are journaled.
+  /// Opens a transaction mark inside any already open. Until the outermost
+  /// mark closes, union-find parent writes are journaled.
   TxnMark txnBegin();
-  /// Closes the transaction, keeping all mutations.
+  /// Closes the innermost mark, keeping all mutations.
   void txnCommit();
-  /// Undoes every mutation since \p M: appended rows, kills, unions,
-  /// declarations, timestamp bumps. Also clears any pending error.
+  /// Closes the innermost mark \p M, undoing every mutation since it:
+  /// appended rows, kills, unions, declarations, timestamp bumps. Also
+  /// clears any pending error.
   void txnRollback(const TxnMark &M);
 
   //===--------------------------------------------------------------------===
@@ -399,12 +374,12 @@ private:
   ResourceGovernor Gov;
   /// Countdown to the next full governor poll (see governorCheckpoint).
   uint32_t CheckpointBudget = 0;
-  /// True while a command transaction is open (no nesting).
-  bool InTxn = false;
+  /// Number of open transaction marks.
+  unsigned TxnDepth = 0;
   /// Persistent extraction state (lazily created; incomplete type here, so
-  /// the destructor is out of line). Invalidated by restore() and by the
-  /// mutations that can raise class costs (term deletion, merge-expression
-  /// output replacement).
+  /// the destructor is out of line). Invalidated by txnRollback() and by
+  /// the mutations that can raise class costs (term deletion,
+  /// merge-expression output replacement).
   std::unique_ptr<ExtractIndex> ExtractIdx;
 
   /// Reusable scratch stacks for the evaluation hot path (every action and

@@ -687,8 +687,9 @@ void Engine::restore(const Snapshot &S) {
   LastContentHash = S.LastContentHash;
   LastMutationStamp = S.LastMutationStamp;
   HasContentHash = S.HasContentHash;
-  // restore() resets the union counter, breaking the stamp monotonicity
-  // the schedule hash cache relies on — a post-restore stamp can collide
-  // with a pre-restore one over different content.
+  // The database rollback paired with restore() resets the union counter,
+  // breaking the stamp monotonicity the schedule hash cache relies on — a
+  // post-rollback stamp can collide with a pre-rollback one over different
+  // content.
   CachedSigValid = false;
 }

@@ -159,8 +159,9 @@ public:
     unsigned TimesBanned = 0;
   };
 
-  /// A frozen copy of the engine-side state for push/pop contexts: rules
-  /// and rulesets declared since the snapshot are dropped on restore, and
+  /// A frozen copy of the engine-side state, paired with each EGraph
+  /// transaction mark (per command and per (push) context): rules and
+  /// rulesets declared since the snapshot are dropped on restore, and
   /// per-rule semi-naïve/BackOff state rolls back with the database.
   struct Snapshot {
     size_t NumRules = 0;
@@ -244,8 +245,9 @@ private:
   /// schedule interpreter hashes each database state at most once (a
   /// leaf's before-hash is usually the previous leaf's after-hash).
   /// Sound because versions and unions are monotone, so equal stamps
-  /// imply identical content — except across restore(), which resets the
-  /// union counter and therefore invalidates the cache explicitly.
+  /// imply identical content — except across a rollback, which resets the
+  /// union counter; restore(), paired with every rollback, therefore
+  /// invalidates the cache explicitly.
   uint64_t contentHashAt(uint64_t Stamp);
   uint64_t CachedSigHash = 0;
   uint64_t CachedSigStamp = 0;

@@ -239,9 +239,9 @@ void ExtractIndex::refresh(EGraph &Graph) {
 
   bool Scratch = !Valid || Graph.numFunctions() < Tables.size();
   if (!Scratch) {
-    // A restore()/clear() that bypassed EGraph::restore's invalidate hook
-    // (resets moved), or any other shrink: the append-only assumption the
-    // suffix scan relies on is gone.
+    // A Table::rollbackTo() that bypassed EGraph::txnRollback's invalidate
+    // hook (resets moved), or any other shrink: the append-only assumption
+    // the suffix scan relies on is gone.
     for (size_t F = 0; F < Tables.size() && !Scratch; ++F) {
       const Table &T = *Graph.function(F).Storage;
       if (participates(Graph, F) &&

@@ -82,8 +82,9 @@ public:
   void refresh(EGraph &Graph);
 
   /// Marks the cached state unusable; the next refresh recomputes from
-  /// scratch. Called by the EGraph on restore() and on term deletion (the
-  /// only mutations under which class costs can increase).
+  /// scratch. Called by the EGraph on txnRollback() (a failed command or a
+  /// (pop)) and on term deletion (the only mutations under which class
+  /// costs can increase).
   void invalidate() { Valid = false; }
   bool valid() const { return Valid; }
 
@@ -145,7 +146,7 @@ private:
   /// Per-function bookkeeping: rows [0, Scanned) are reflected in the
   /// chains and have been cost-considered; Version is the table stamp at
   /// the end of the last refresh; Resets mirrors Table::resets() so a
-  /// direct clear()/restore() (which breaks append-only) forces scratch.
+  /// direct Table::rollbackTo() (which breaks append-only) forces scratch.
   struct TableState {
     uint64_t Version = 0;
     uint64_t Resets = 0;

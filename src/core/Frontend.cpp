@@ -81,10 +81,9 @@ bool Frontend::executeForm(const SExpr &Form) {
   const std::string &Head = Form[0].Text;
   CurrentForm = &Form;
 
-  // (push)/(pop) are barrier commands: popContext wholesale-replaces the
-  // structures the transaction journals cover (poisoning them), and both
-  // validate their arguments before touching anything, so they run outside
-  // the per-command transaction.
+  // (push)/(pop) run outside the per-command transaction: a context's mark
+  // outlives the command that opens it, and marks close innermost first.
+  // Both validate their arguments before touching anything.
   if (Head == "push" || Head == "pop") {
     bool Ok = Head == "push" ? execPush(Form) : execPop(Form);
     CurrentForm = nullptr;
@@ -718,16 +717,29 @@ bool Frontend::execRunSchedule(const SExpr &Form) {
   return true;
 }
 
-void Frontend::pushContext() {
-  Contexts.push_back(SavedContext{Graph.snapshot(), Eng.snapshot()});
+void Frontend::pushContext(uint64_t Count) {
+  Contexts.push_back(SavedContext{Graph.txnBegin(), Eng.snapshot(), Count});
+  Depth += Count;
 }
 
-bool Frontend::popContext() {
-  if (Contexts.empty())
+bool Frontend::popContext(uint64_t Count) {
+  if (Count > Depth)
     return false;
-  Graph.restore(Contexts.back().GraphState);
-  Eng.restore(Contexts.back().EngineState);
-  Contexts.pop_back();
+  Depth -= Count;
+  // Consume whole entries innermost first; an entry keeps the rest of its
+  // repeat count by reopening its mark over the state it just restored.
+  while (Count > 0) {
+    SavedContext &Top = Contexts.back();
+    Graph.txnRollback(Top.GraphMark);
+    Eng.restore(Top.EngineState);
+    if (Top.Count > Count) {
+      Top.Count -= Count;
+      Top.GraphMark = Graph.txnBegin();
+      break;
+    }
+    Count -= Top.Count;
+    Contexts.pop_back();
+  }
   truncateLintState();
   return true;
 }
@@ -739,8 +751,7 @@ bool Frontend::execPush(const SExpr &Form) {
       return fail(Form, "usage: (push) or (push n)");
     Count = Form[1].IntValue;
   }
-  for (int64_t I = 0; I < Count; ++I)
-    pushContext();
+  pushContext(static_cast<uint64_t>(Count));
   return true;
 }
 
@@ -751,12 +762,10 @@ bool Frontend::execPop(const SExpr &Form) {
       return fail(Form, "usage: (pop) or (pop n)");
     Count = Form[1].IntValue;
   }
-  // Check up front so a failing (pop n) is atomic: it must not consume
-  // the contexts that do exist before reporting the error.
-  if (static_cast<size_t>(Count) > Contexts.size())
+  // popContext checks the depth up front, so a failing (pop n) is atomic:
+  // it does not consume the contexts that do exist.
+  if (!popContext(static_cast<uint64_t>(Count)))
     return failKind(Form, ErrKind::Runtime, "(pop) without a matching (push)");
-  for (int64_t I = 0; I < Count; ++I)
-    popContext();
   return true;
 }
 
@@ -845,8 +854,9 @@ bool Frontend::execLoad(const SExpr &Form) {
     return fail(Form, "usage: (load <file>) with a string path");
   if (AnalysisMode)
     return true;
-  // A load wholesale-replaces the tables that any open (push) context's
-  // saved snapshot still describes, so it is only legal at depth zero.
+  // A load wholesale-replaces the tables and union-find whose row counts
+  // and journal offsets an open (push) context's mark still indexes, so it
+  // is only legal at depth zero.
   if (!Contexts.empty())
     return failKind(Form, ErrKind::IO,
                     "(load) inside a (push) context is not supported");

@@ -21,7 +21,7 @@
 /// Phasing commands: (ruleset name) declares a ruleset, rules join one via
 /// :ruleset, (run name n) runs one, (run-schedule ...) interprets a
 /// saturate/seq/repeat schedule tree, and (push)/(pop) enter and abandon
-/// database contexts (snapshot/restore of the whole engine state).
+/// database contexts (a transaction mark held open until the pop).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,8 +54,8 @@ public:
   /// command runs inside an implicit transaction: on any error the
   /// database, the engine's scheduler state, and the output buffer are
   /// rolled back to their pre-command state, so a failed command leaves no
-  /// trace. (push)/(pop) are barrier commands — they validate up front and
-  /// manage whole-database snapshots themselves.
+  /// trace. (push)/(pop) validate up front and run outside that
+  /// transaction: a context is a transaction mark left open until its pop.
   bool executeForm(const SExpr &Form);
 
   const std::string &error() const { return ErrorMsg; }
@@ -97,16 +97,18 @@ public:
   /// creating terms; returns false if it is not present.
   bool evalGround(std::string_view ExprSource, Value &Out);
 
-  /// Enters a new database context (the (push) command): snapshots the
-  /// EGraph and Engine so a later popContext() restores them exactly.
-  void pushContext();
+  /// Enters \p Count new database contexts over the current state (the
+  /// (push n) command): opens one EGraph transaction mark and saves the
+  /// Engine state so a later popContext() restores both exactly. O(1) in
+  /// \p Count.
+  void pushContext(uint64_t Count = 1);
 
-  /// Abandons the innermost context (the (pop) command); returns false if
-  /// no context is open.
-  bool popContext();
+  /// Abandons the \p Count innermost contexts (the (pop n) command);
+  /// returns false, changing nothing, if fewer are open.
+  bool popContext(uint64_t Count = 1);
 
   /// Number of open contexts.
-  size_t contextDepth() const { return Contexts.size(); }
+  uint64_t contextDepth() const { return Depth; }
 
   //===--- static analysis (src/analysis) --------------------------------===
 
@@ -143,13 +145,17 @@ private:
   EggError LastError;
   std::vector<std::string> Outputs;
 
-  /// The (push)/(pop) context stack: paired snapshots of the database and
-  /// the engine-side rule state.
+  /// The (push)/(pop) context stack: an open database transaction mark and
+  /// the engine-side rule state. The n contexts of one (push n) share an
+  /// entry, since they all save the same state.
   struct SavedContext {
-    EGraph::Snapshot GraphState;
+    EGraph::TxnMark GraphMark;
     Engine::Snapshot EngineState;
+    uint64_t Count = 1;
   };
   std::vector<SavedContext> Contexts;
+  /// Total open contexts: the sum of the entries' counts.
+  uint64_t Depth = 0;
 
   bool AnalysisMode = false;
   std::string UnitLabel;

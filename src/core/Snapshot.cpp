@@ -223,15 +223,15 @@ std::vector<uint8_t> serializeDatabase(const EGraph &G) {
     File.insert(File.end(), Head.Bytes.begin(), Head.Bytes.end());
   }
 
-  UnionFind::Snapshot UFS = G.unionFind().snapshot();
+  const UnionFind &UF = G.unionFind();
 
   // 1 META
   {
     ByteSink S;
     S.putU32(G.timestamp());
     S.putU8(G.needsRebuild() ? 1 : 0);
-    S.putU64(UFS.UnionCount);
-    S.putU64(UFS.MergeLogSize);
+    S.putU64(UF.unionCount());
+    S.putU64(UF.mergeLog().size());
     S.putU64(G.liveContentHash());
     S.putU64(G.liveTupleCount());
     appendSection(File, SecMeta, S);
@@ -302,11 +302,11 @@ std::vector<uint8_t> serializeDatabase(const EGraph &G) {
   // 6 UNIONFIND
   {
     ByteSink S;
-    S.putU64(UFS.Parents.size());
-    for (uint64_t P : UFS.Parents)
+    S.putU64(UF.parents().size());
+    for (uint64_t P : UF.parents())
       S.putU64(P);
-    S.putU64(UFS.Dirty.size());
-    for (uint64_t D : UFS.Dirty)
+    S.putU64(UF.dirty().size());
+    for (uint64_t D : UF.dirty())
       S.putU64(D);
     appendSection(File, SecUnionFind, S);
   }

@@ -243,16 +243,6 @@ void Table::takeOccurrences(uint64_t IdBits, std::vector<uint32_t> &Out) {
   OccHead[IdBits] = -1;
 }
 
-Table::Snapshot Table::snapshot() const {
-  Snapshot S;
-  S.Rows = Stamps.size();
-  S.NumLive = NumLive;
-  S.Kills = Kills;
-  S.StampsSorted = StampsSorted;
-  S.Live = Live;
-  return S;
-}
-
 void Table::rebuildSlots(size_t Rows) {
   size_t MinSlots = 16;
   while (NumLive * 10 >= MinSlots * 7)
@@ -270,41 +260,9 @@ void Table::rebuildSlots(size_t Rows) {
   }
 }
 
-void Table::restore(const Snapshot &S) {
-  assert(S.Rows <= Stamps.size() && "snapshot is from a different table");
-  for (std::vector<Value> &Col : Columns)
-    Col.resize(S.Rows);
-  Stamps.resize(S.Rows);
-  Live = S.Live;
-  NumLive = S.NumLive;
-  Kills = S.Kills;
-  StampsSorted = S.StampsSorted;
-  // The kill journal indexes rows of the pre-restore array; a restore is a
-  // journal epoch boundary (tracked by Resets, which open transaction marks
-  // assert against).
-  KillLog.clear();
-  ++Version;
-  ++Resets;
-
-  // Rebuild the open-addressing key index from the restored live rows.
-  rebuildSlots(S.Rows);
-
-  // Resurrected rows violate the indexes' "rows only die" refresh
-  // assumption, so drop every cached column index outright. The occurrence
-  // index is rebuilt lazily for the same reason: truncation orphans its
-  // row ids and resurrection revives rows whose chains may already have
-  // been consumed by a rebuild.
-  OccHead.clear();
-  OccPool.clear();
-  OccTracked = 0;
-  if (Indexes)
-    Indexes->invalidate();
-}
-
 void Table::rollbackTo(const TxnMark &M) {
-  assert(M.Resets == Resets &&
-         "transaction mark straddles a restore()/clear() epoch");
-  assert(M.Rows <= Stamps.size() && "mark is from a different table");
+  assert(M.Rows <= Stamps.size() && M.KillLogSize <= KillLog.size() &&
+         "marks must be rolled back innermost first");
   // An aborted rebuild may have consumed occurrence chains (takeOccurrences
   // detaches the chain before the rows are rewritten) for ids that rollback
   // returns to the dirty worklist; those chains must come back. Wipe the
@@ -313,8 +271,9 @@ void Table::rollbackTo(const TxnMark &M) {
   OccHead.clear();
   OccPool.clear();
   OccTracked = 0;
-  // Cheap path: the command never appended or killed here — the row data,
-  // key index, and cached column indexes all stay warm.
+  // Cheap path: nothing was appended or killed here since the mark (by the
+  // failed command, or by the whole popped context) — the row data, key
+  // index, and cached column indexes all stay warm.
   if (M.Rows == Stamps.size() && M.KillLogSize == KillLog.size())
     return;
 
@@ -335,9 +294,9 @@ void Table::rollbackTo(const TxnMark &M) {
   ++Version;
   ++Resets;
 
-  // Same derived-state reset as restore(): rebuild the key index from the
-  // surviving live rows and drop incremental consumers (resurrection
-  // breaks their monotone-death assumptions).
+  // Rebuild the key index from the surviving live rows and drop
+  // incremental consumers (resurrection breaks their monotone-death
+  // assumptions).
   rebuildSlots(M.Rows);
   if (Indexes)
     Indexes->invalidate();
@@ -354,25 +313,4 @@ size_t Table::approxBytes() const {
   if (Indexes)
     Bytes += Indexes->approxBytes();
   return Bytes;
-}
-
-void Table::clear() {
-  for (std::vector<Value> &Col : Columns)
-    Col.clear();
-  Stamps.clear();
-  Live.clear();
-  NumLive = 0;
-  StampsSorted = true;
-  KillLog.clear();
-  ++Version;
-  ++Resets;
-  Slots.assign(16, 0);
-  SlotMask = Slots.size() - 1;
-  OccHead.clear();
-  OccPool.clear();
-  OccTracked = 0;
-  // Row slots will be reused with different contents, so cached indexes
-  // must not attempt an incremental refresh against their stale ids.
-  if (Indexes)
-    Indexes->invalidate();
 }

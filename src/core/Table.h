@@ -76,18 +76,19 @@ public:
   bool isLive(size_t Row) const { return Live[Row]; }
   uint32_t stamp(size_t Row) const { return Stamps[Row]; }
 
-  /// Monotonic mutation counter: bumped on every insert, erase, and clear.
-  /// Cached query indexes compare it to decide whether they are stale.
+  /// Monotonic mutation counter: bumped on every insert, erase, and
+  /// rollback. Cached query indexes compare it to decide whether they are
+  /// stale.
   uint64_t version() const { return Version; }
 
   /// Number of rows ever killed (by update or erase). Lets an incremental
   /// index refresh skip the dead-row sweep when nothing died.
   uint64_t killCount() const { return Kills; }
 
-  /// Number of restore()/clear() calls ever. Those are the mutations that
-  /// break the append-only contract (truncation, resurrection), so
-  /// consumers that scan the appended suffix (the extraction index)
-  /// restart from scratch when this moves.
+  /// Number of rollbacks that truncated or resurrected rows. Those are the
+  /// only mutations that break the append-only contract, so consumers that
+  /// scan the appended suffix (the extraction index) restart from scratch
+  /// when this moves.
   uint64_t resets() const { return Resets; }
 
   /// Live rows with stamp >= \p Bound (the semi-naïve "new" partition).
@@ -198,53 +199,29 @@ public:
   /// without re-probing the hash index by key tuple.
   void eraseRow(size_t Row);
 
-  /// Clears all rows (used by `pop`-less resets in tests).
-  void clear();
-
-  /// A frozen view of the table for push/pop contexts. Rows are append-only
-  /// and cells/stamps of existing rows never change, so the snapshot is the
-  /// row count plus a copy of the liveness bitmap (rows live at the
-  /// snapshot can only be killed afterwards, never edited).
-  struct Snapshot {
-    size_t Rows = 0;
-    size_t NumLive = 0;
-    uint64_t Kills = 0;
-    bool StampsSorted = true;
-    std::vector<bool> Live;
-  };
-
-  Snapshot snapshot() const;
-
-  /// Restores the exact live content captured by \p S: rows appended since
-  /// are truncated, rows killed since are resurrected, and the key index is
-  /// rebuilt. Cached column indexes are invalidated (resurrection breaks
-  /// their monotone-death refresh assumption).
-  void restore(const Snapshot &S);
-
-  /// Transactional mode. Unlike Snapshot, a mark is O(1) — no liveness
-  /// bitmap copy. Rollback is possible without one because every kill since
-  /// the mark is recorded in the (always-on) kill journal: rows are
-  /// append-only, each row is killed at most once, so resurrecting the
-  /// journaled suffix and truncating the appended rows restores the exact
-  /// live content.
+  /// Transactional mode: a mark is O(1). Rollback needs no liveness
+  /// bitmap copy because every kill is recorded in the (always-on) kill
+  /// journal: rows are append-only and each row is killed at most once, so
+  /// resurrecting the journaled suffix and truncating the appended rows
+  /// restores the exact live content. Marks nest — a (push) context's mark
+  /// stays open across the per-command marks inside it — and must be
+  /// rolled back innermost first.
   struct TxnMark {
     size_t Rows = 0;
     size_t KillLogSize = 0;
     size_t NumLive = 0;
     uint64_t Kills = 0;
-    uint64_t Resets = 0;
     bool StampsSorted = true;
   };
 
   TxnMark txnMark() const {
-    return TxnMark{Stamps.size(), KillLog.size(), NumLive,
-                   Kills,         Resets,         StampsSorted};
+    return TxnMark{Stamps.size(), KillLog.size(), NumLive, Kills,
+                   StampsSorted};
   }
 
-  /// Rolls the table back to \p M. No-op (caches stay warm) when nothing
-  /// was appended or killed since the mark. Must not be interleaved with
-  /// restore()/clear() — those reset the kill journal (asserted via the
-  /// Resets counter in the mark).
+  /// Rolls the table back to \p M. The row data, key index and cached
+  /// column indexes stay warm when nothing was appended or killed since
+  /// the mark.
   void rollbackTo(const TxnMark &M);
 
   /// Approximate bytes held by this table (for the governor's ceiling).
@@ -265,9 +242,9 @@ private:
   /// under the engine's monotonic timestamp); enables a binary search in
   /// liveCountAtLeast.
   bool StampsSorted = true;
-  /// Row indexes killed since the last restore()/clear(), in kill order.
-  /// Always on (4 bytes per kill, reclaimed at the next reset) so command
-  /// transactions can roll kills back without a per-command bitmap copy.
+  /// Row indexes killed, in kill order (truncated by rollback). Always on
+  /// (4 bytes per kill) so transactions and contexts can roll kills back
+  /// without a bitmap copy.
   std::vector<uint32_t> KillLog;
   mutable std::unique_ptr<IndexCache> Indexes;
 
@@ -289,7 +266,7 @@ private:
   std::vector<int32_t> OccHead;
   std::vector<OccNode> OccPool;
   /// Rows [0, OccTracked) are reflected in the occurrence index.
-  /// restore()/clear() reset it to 0 and wipe the index (truncation and
+  /// Rollback resets it to 0 and wipes the index (truncation and
   /// resurrection both break the append-only contract the lazy catch-up
   /// relies on).
   size_t OccTracked = 0;

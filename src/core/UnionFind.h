@@ -41,7 +41,7 @@ public:
   uint64_t find(uint64_t Id) const {
     assert(Id < Parents.size() && "find of unknown id");
     // Iterative path halving; Parents is mutable for amortized compression.
-    // While a transaction journal is open, every *effective* parent write
+    // While a transaction mark is open, every *effective* parent write
     // (compression shortcuts included — an undo log of union links alone is
     // unsound, because compression can shortcut across a post-mark union)
     // records the old edge so rollback can replay it in reverse. No-op
@@ -51,7 +51,7 @@ public:
       uint64_t Parent = Parents[Id];
       uint64_t Grand = Parents[Parent];
       if (Parent != Grand) {
-        if (Journaling)
+        if (OpenMarks > 0)
           UndoLog.push_back({Id, Parent});
         Parents[Id] = Grand;
       }
@@ -72,7 +72,7 @@ public:
       return RootA;
     if (RootB < RootA)
       std::swap(RootA, RootB);
-    if (Journaling)
+    if (OpenMarks > 0)
       UndoLog.push_back({RootB, RootB});
     Parents[RootB] = RootA;
     ++UnionCount;
@@ -107,7 +107,7 @@ public:
   }
 
   /// Append-only log of every losing root in merge order (never drained;
-  /// truncated only by restore). Incremental readers keep an offset.
+  /// truncated only by txnRollback). Incremental readers keep an offset.
   const std::vector<uint64_t> &mergeLog() const { return MergeLog; }
 
   /// Starts recording merges (idempotent). Called when the first consumer
@@ -115,102 +115,78 @@ public:
   /// which the extraction index does by starting from a scratch rebuild.
   void enableMergeLog() { LogMerges = true; }
 
-  /// A frozen copy of the equivalence relation, for push/pop contexts.
-  /// Path compression makes an undo log unsound to replay (compressed
-  /// parent edges can reference unions that are later undone), so the
-  /// snapshot stores the parent array itself. The pending dirty list is
-  /// part of the relation's rebuild state and travels with it: ids that
-  /// were awaiting re-canonicalization at snapshot time must still be
-  /// awaiting it after a pop.
-  struct Snapshot {
-    std::vector<uint64_t> Parents;
-    std::vector<uint64_t> Dirty;
-    uint64_t UnionCount = 0;
-    /// The merge log is append-only, so the snapshot stores only its
-    /// length; restore truncates back to it.
-    size_t MergeLogSize = 0;
-  };
-
-  Snapshot snapshot() const {
-    return Snapshot{Parents, Dirty, UnionCount, MergeLog.size()};
-  }
-
-  /// Restores the relation captured by \p S exactly: ids created since are
-  /// forgotten and every union since is undone.
-  void restore(const Snapshot &S) {
-    Parents = S.Parents;
-    Dirty = S.Dirty;
-    UnionCount = S.UnionCount;
-    MergeLog.resize(S.MergeLogSize);
-    // A wholesale replace invalidates any open write journal: the journaled
-    // old edges refer to an array that no longer exists. Barrier commands
-    // (push/pop) run outside transactions so this only poisons the journal
-    // defensively; txnRollback asserts it never sees the poison.
-    if (Journaling) {
-      UndoLog.clear();
-      Poisoned = true;
-    }
-  }
+  /// The raw parent array (compression state included) and the pending
+  /// dirty list, for the snapshot writer.
+  const std::vector<uint64_t> &parents() const { return Parents; }
+  const std::vector<uint64_t> &dirty() const { return Dirty; }
 
   /// Wholesale-replaces the relation with externally staged state (the
   /// snapshot loader's point of no return). noexcept by construction —
   /// vector moves only — so a caller can sequence it after the last
   /// fallible step and before txnCommit with no failure window. The merge
-  /// log is cleared (its consumers are invalidated alongside); an open
-  /// write journal is poisoned exactly as restore() does, which is safe
-  /// because txnCommit never replays the journal.
+  /// log is cleared (its consumers are invalidated alongside). The open
+  /// write journal now describes an array that no longer exists, so it is
+  /// poisoned: safe for the commit the loader goes on to, and asserted
+  /// against by a rollback.
   void adopt(std::vector<uint64_t> NewParents, std::vector<uint64_t> NewDirty,
              uint64_t NewUnionCount) noexcept {
     Parents = std::move(NewParents);
     Dirty = std::move(NewDirty);
     UnionCount = NewUnionCount;
     MergeLog.clear();
-    if (Journaling) {
+    if (OpenMarks > 0) {
       UndoLog.clear();
       Poisoned = true;
     }
   }
 
-  /// Transactional mode: unlike Snapshot (a full Parents copy, paid per
-  /// (push)), a transaction pays O(1) at begin and journals parent writes
-  /// as they happen, so the no-error commit path costs nothing beyond the
-  /// per-write branch. Rollback replays the journal in reverse.
+  /// Transactional mode: a mark is O(1) plus a copy of the dirty list, and
+  /// parent writes are journaled as they happen, so the commit path costs
+  /// nothing beyond the per-write branch. Marks nest LIFO — a (push)
+  /// context holds one open across many commands, each command its own
+  /// inside it — and the journal records every write from the outermost
+  /// mark until that mark closes. Rollback replays the journal suffix past
+  /// its mark in reverse.
   struct TxnMark {
     size_t NumIds = 0;
     size_t MergeLogSize = 0;
+    size_t UndoLogSize = 0;
     uint64_t UnionCount = 0;
     std::vector<uint64_t> Dirty;
   };
 
   TxnMark txnBegin() {
-    assert(!Journaling && "nested union-find transactions are not supported");
-    Journaling = true;
-    Poisoned = false;
-    UndoLog.clear();
-    return TxnMark{Parents.size(), MergeLog.size(), UnionCount, Dirty};
+    if (OpenMarks++ == 0)
+      Poisoned = false;
+    return TxnMark{Parents.size(), MergeLog.size(), UndoLog.size(),
+                   UnionCount, Dirty};
   }
 
+  /// Closes the innermost mark, keeping every write. Its journal entries
+  /// stay while an outer mark may still roll them back.
   void txnCommit() {
-    Journaling = false;
-    UndoLog.clear();
+    assert(OpenMarks > 0 && "txnCommit without an open transaction");
+    if (--OpenMarks == 0)
+      UndoLog.clear();
   }
 
-  /// Undoes every parent write since txnBegin (reverse replay), forgets ids
-  /// created since, and restores the rebuild worklist.
+  /// Closes the innermost mark \p M, undoing every parent write since it
+  /// (reverse replay), forgetting ids created since, and restoring the
+  /// rebuild worklist.
   void txnRollback(const TxnMark &M) {
-    assert(Journaling && "txnRollback without an open transaction");
+    assert(OpenMarks > 0 && "txnRollback without an open transaction");
     assert(!Poisoned && "union-find was wholesale-replaced mid-transaction");
-    for (size_t I = UndoLog.size(); I-- > 0;)
+    assert(M.UndoLogSize <= UndoLog.size() && M.NumIds <= Parents.size() &&
+           "union-find marks must close innermost first");
+    for (size_t I = UndoLog.size(); I-- > M.UndoLogSize;)
       Parents[UndoLog[I].Id] = UndoLog[I].Old;
+    UndoLog.resize(M.UndoLogSize);
     Parents.resize(M.NumIds);
     Dirty = M.Dirty;
     UnionCount = M.UnionCount;
     MergeLog.resize(M.MergeLogSize);
-    Journaling = false;
-    UndoLog.clear();
+    --OpenMarks;
   }
-
-  bool inTransaction() const { return Journaling; }
 
   /// Approximate bytes held (for the resource governor's memory ceiling).
   size_t approxBytes() const {
@@ -231,10 +207,11 @@ private:
   std::vector<uint64_t> Dirty;
   /// Every losing root since enableMergeLog(), in merge order.
   std::vector<uint64_t> MergeLog;
-  /// Old parent edges overwritten while Journaling, in write order.
+  /// Old parent edges overwritten while a mark is open, in write order.
   mutable std::vector<UndoEntry> UndoLog;
+  /// Number of open transaction marks; the journal records while nonzero.
+  unsigned OpenMarks = 0;
   bool LogMerges = false;
-  bool Journaling = false;
   bool Poisoned = false;
   uint64_t UnionCount = 0;
 };

@@ -1,12 +1,14 @@
 //===- tests/core/ContextTest.cpp - Push/pop context tests -----------------===//
 //
-// Part of egglog-cpp. Tests for (push)/(pop) database contexts: snapshots
-// must be exact — after a pop, the live content hash, counts, and every
-// declaration match the pre-push state, no matter what ran in between.
+// Part of egglog-cpp. Tests for (push)/(pop) database contexts: a context
+// is a transaction mark held open until its pop, and the pop must be exact
+// — the live content hash, counts, and every declaration match the
+// pre-push state, no matter what ran (or failed) in between.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Frontend.h"
+#include "core/Query.h"
 
 #include <gtest/gtest.h>
 
@@ -226,8 +228,9 @@ TEST(ContextTest, SemiNaiveStateSurvivesAbandonedContext) {
   )")) << F.error();
 }
 
-TEST(ContextTest, EGraphSnapshotRoundTripsAtTheApiLevel) {
-  // Library-level use (no Frontend): snapshot, mutate heavily, restore.
+TEST(ContextTest, EGraphMarkRoundTripsAtTheApiLevel) {
+  // Library-level use (no Frontend): open a mark, mutate heavily, roll
+  // back.
   EGraph G;
   SortId N = G.declareSort("N");
   FunctionId Mk = G.declareFunction(
@@ -240,7 +243,7 @@ TEST(ContextTest, EGraphSnapshotRoundTripsAtTheApiLevel) {
   uint64_t HashBefore = G.liveContentHash();
   size_t LiveBefore = G.liveTupleCount();
 
-  EGraph::Snapshot S = G.snapshot();
+  EGraph::TxnMark Mark = G.txnBegin();
   // Mutate: new terms, unions, a rebuild, and touched indexes.
   for (int64_t I = 10; I < 50; ++I) {
     Value Key = G.mkI64(I);
@@ -253,13 +256,103 @@ TEST(ContextTest, EGraphSnapshotRoundTripsAtTheApiLevel) {
   G.rebuild();
   ASSERT_NE(G.liveContentHash(), HashBefore);
 
-  G.restore(S);
+  G.txnRollback(Mark);
   EXPECT_EQ(G.liveContentHash(), HashBefore);
   EXPECT_EQ(G.liveTupleCount(), LiveBefore);
   EXPECT_EQ(G.unionFind().unionCount(), 0u);
-  // The restored table is fully usable: lookups and fresh inserts work.
+  // The rolled-back table is fully usable: lookups and fresh inserts work.
   EXPECT_TRUE(G.lookup(Mk, &K0).has_value());
   Value K99 = G.mkI64(99), Out99;
   ASSERT_TRUE(G.getOrCreate(Mk, &K99, Out99));
   EXPECT_EQ(G.liveTupleCount(), LiveBefore + 1);
+}
+
+TEST(ContextTest, HugePushCountIsConstantSpace) {
+  // (push n) saves one state n times, so it costs one entry however large
+  // n is; (pop k) consumes repeat counts. The n contexts all saved the
+  // pre-push state, so any pop discards the innermost change.
+  Frontend F;
+  ASSERT_TRUE(F.execute("(relation r (i64)) (r 1)")) << F.error();
+  StateFingerprint Before = fingerprint(F);
+  ASSERT_TRUE(F.execute("(push 1000000000000) (r 2)")) << F.error();
+  EXPECT_EQ(F.contextDepth(), 1000000000000u);
+  ASSERT_TRUE(F.execute("(pop 999999999999)")) << F.error();
+  EXPECT_EQ(F.contextDepth(), 1u);
+  EXPECT_EQ(fingerprint(F), Before);
+  ASSERT_TRUE(F.execute("(check-fail (r 2))")) << F.error();
+  // The last remaining context is a working mark: a change made in it is
+  // visible, an overdrawn pop is still atomic, and (pop) undoes the change.
+  ASSERT_TRUE(F.execute("(r 3) (check (r 3))")) << F.error();
+  ASSERT_FALSE(F.execute("(pop 2)"));
+  EXPECT_EQ(F.contextDepth(), 1u);
+  ASSERT_TRUE(F.execute("(check (r 3)) (pop)")) << F.error();
+  EXPECT_EQ(F.contextDepth(), 0u);
+  EXPECT_EQ(fingerprint(F), Before);
+}
+
+TEST(ContextTest, FailedCommandInsideContextRollsBackOnlyTheCommand) {
+  // A command's own mark nests inside the open context's mark: the
+  // governor tripping mid-run rolls back that command alone, the context
+  // keeps working, and the pop still lands on the pre-push state.
+  Frontend F;
+  F.graph().governor().setCheckpointInterval(16);
+  ASSERT_TRUE(F.execute(R"(
+    (datatype Math (Num i64) (Add Math Math))
+    (rewrite (Add a b) (Add b a))
+    (rewrite (Add a (Add b c)) (Add (Add a b) c))
+    (define e (Add (Num 1) (Add (Num 2) (Add (Num 3) (Num 4)))))
+  )")) << F.error();
+  StateFingerprint BeforePush = fingerprint(F);
+
+  ASSERT_TRUE(F.execute(R"(
+    (push)
+    (define g (Add (Num 5) (Num 6)))
+    (union g (Num 11))
+    (run 1)
+  )")) << F.error();
+  StateFingerprint BeforeCommand = fingerprint(F);
+  ASSERT_NE(BeforeCommand, BeforePush);
+
+  size_t Ceiling = F.graph().liveTupleCount() + 20;
+  ASSERT_TRUE(F.execute("(set-option :max-nodes " + std::to_string(Ceiling) +
+                        ")"))
+      << F.error();
+  EXPECT_FALSE(F.execute("(run 100)"));
+  EXPECT_EQ(F.lastError().Kind, ErrKind::Limit) << F.error();
+  EXPECT_EQ(fingerprint(F), BeforeCommand);
+  EXPECT_EQ(F.contextDepth(), 1u);
+
+  ASSERT_TRUE(F.execute(R"(
+    (set-option :max-nodes 0)
+    (run 2)
+    (check (= g (Num 11)))
+    (check (= e (Add (Add (Num 1) (Num 2)) (Add (Num 3) (Num 4)))))
+  )")) << F.error();
+  ASSERT_TRUE(F.execute("(pop)")) << F.error();
+  EXPECT_EQ(fingerprint(F), BeforePush);
+}
+
+TEST(ContextTest, PopKeepsUntouchedTablesIndexesWarm) {
+  // Pop rolls back only the tables the context touched, so a column index
+  // built on an untouched table before the push is still served after the
+  // pop without a rebuild.
+  Frontend F;
+  ASSERT_TRUE(F.execute(R"(
+    (relation a (i64 i64))
+    (relation b (i64))
+    (a 1 2) (a 2 3) (a 3 1)
+    (b 0)
+  )")) << F.error();
+  FunctionId A = 0;
+  ASSERT_TRUE(F.graph().lookupFunctionName("a", A));
+  IndexCache &Indexes = F.graph().function(A).Storage->indexes();
+  const std::vector<unsigned> Perm{1, 0};
+  ASSERT_EQ(Indexes.get(Perm, AtomFilter::All, 0).size(), 3u);
+  uint64_t Builds = Indexes.stats().Builds;
+  ASSERT_GT(Builds, 0u);
+
+  ASSERT_TRUE(F.execute("(push) (b 1) (b 2) (delete (b 0)) (pop)"))
+      << F.error();
+  ASSERT_EQ(Indexes.get(Perm, AtomFilter::All, 0).size(), 3u);
+  EXPECT_EQ(Indexes.stats().Builds, Builds);
 }

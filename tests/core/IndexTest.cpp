@@ -41,15 +41,17 @@ TEST(TableVersionTest, BumpsOnInsert) {
   EXPECT_EQ(T.version(), V2);
 }
 
-TEST(TableVersionTest, BumpsOnEraseAndClear) {
+TEST(TableVersionTest, BumpsOnEraseAndRollback) {
   Table T(1);
+  Table::TxnMark Empty = T.txnMark();
   Value Key[1] = {v(7)};
   T.insert(Key, v(1), 0);
   uint64_t V0 = T.version();
   EXPECT_TRUE(T.erase(Key));
   EXPECT_GT(T.version(), V0);
   uint64_t V1 = T.version();
-  T.clear();
+  T.rollbackTo(Empty);
+  EXPECT_EQ(T.rowCount(), 0u);
   EXPECT_GT(T.version(), V1);
 }
 
@@ -134,8 +136,9 @@ TEST(IndexCacheTest, ReusedAcrossQueriesAndInvalidatedByMutation) {
   EXPECT_GT(G.indexStats().Builds, S3.Builds);
 }
 
-TEST(IndexCacheTest, ClearThenRegrowRebuildsFromScratch) {
+TEST(IndexCacheTest, RollbackThenRegrowRebuildsFromScratch) {
   Table T(1);
+  Table::TxnMark Empty = T.txnMark();
   for (uint64_t I = 0; I < 5; ++I) {
     Value Key[1] = {v(I)};
     T.insert(Key, v(100 + I), 0);
@@ -143,9 +146,10 @@ TEST(IndexCacheTest, ClearThenRegrowRebuildsFromScratch) {
   std::vector<unsigned> Perm{0};
   EXPECT_EQ(T.indexes().get(Perm, AtomFilter::All, 0).size(), 5u);
 
-  // clear() reuses row slots with different contents; a refresh that
-  // trusted the stale ids would produce an unsorted index.
-  T.clear();
+  // Rolling back to the empty table reuses row slots with different
+  // contents; a refresh that trusted the stale ids would produce an
+  // unsorted index.
+  T.rollbackTo(Empty);
   for (uint64_t I = 0; I < 7; ++I) {
     Value Key[1] = {v(6 - I)};
     T.insert(Key, v(200 + I), 0);

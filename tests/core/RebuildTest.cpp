@@ -37,7 +37,8 @@ struct TestDb {
   FunctionId EdgeR = 0;   ///< edge : S S -> Unit (relation)
   FunctionId Score = 0;   ///< score : S -> i64, :merge (max old new)
   FunctionId Bag = 0;     ///< bag : i64 -> SetOfS (container sweep path)
-  std::vector<EGraph::Snapshot> Stack;
+  /// Open (push)-style transaction marks, innermost last.
+  std::vector<EGraph::TxnMark> Stack;
 
   TestDb() {
     S = G.declareSort("T");
@@ -218,7 +219,7 @@ private:
     bool Pop = !Incremental.Stack.empty() && pick(2) == 0;
     if (Pop) {
       both([&](TestDb &Db) {
-        Db.G.restore(Db.Stack.back());
+        Db.G.txnRollback(Db.Stack.back());
         Db.Stack.pop_back();
       });
       // Ids minted inside the popped context are gone; conservatively
@@ -228,7 +229,7 @@ private:
                                [&](uint64_t Id) { return Id >= Known; }),
                 Ids.end());
     } else if (Incremental.Stack.size() < 4) {
-      both([&](TestDb &Db) { Db.Stack.push_back(Db.G.snapshot()); });
+      both([&](TestDb &Db) { Db.Stack.push_back(Db.G.txnBegin()); });
     }
   }
 
@@ -290,7 +291,7 @@ TEST(RebuildTest, PendingDirtyWorklistSurvivesPop) {
   ASSERT_TRUE(G.getOrCreate(Db.UnaryF, &A, B));
   ASSERT_TRUE(G.getOrCreate(Db.UnaryF, &C, D));
   G.unionValues(A, C); // dirty, NOT rebuilt
-  EGraph::Snapshot Snap = G.snapshot();
+  EGraph::TxnMark Mark = G.txnBegin();
 
   // Inside the context: more churn, fully rebuilt (drains the worklist).
   Value E = G.freshId(Db.S);
@@ -299,7 +300,7 @@ TEST(RebuildTest, PendingDirtyWorklistSurvivesPop) {
   G.unionValues(A, E);
   G.rebuild();
 
-  G.restore(Snap);
+  G.txnRollback(Mark);
   EXPECT_TRUE(G.needsRebuild());
   G.rebuild();
   EXPECT_TRUE(G.valueEqual(B, D));

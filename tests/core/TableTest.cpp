@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <unordered_map>
 
@@ -245,7 +246,10 @@ TEST(TableColumnarTest, RollbackResurrectsAndTruncatesColumns) {
   EXPECT_FALSE(T.lookup(Fresh).has_value());
 }
 
-TEST(TableColumnarTest, SnapshotRestoreRoundTrip) {
+TEST(TableColumnarTest, NestedMarkRollbackRoundTrip) {
+  // A (push) context's mark stays open across the per-command marks inside
+  // it: an inner rollback must land exactly on the inner mark's state and
+  // leave the outer mark valid for its own rollback later.
   Table T(2);
   for (uint64_t I = 0; I < 40; ++I) {
     Value Keys[2] = {v(I), v(I * 2)};
@@ -255,32 +259,69 @@ TEST(TableColumnarTest, SnapshotRestoreRoundTrip) {
     Value Keys[2] = {v(I), v(I * 2)};
     T.erase(Keys);
   }
-  Table::Snapshot S = T.snapshot();
-  size_t LiveAtSnap = T.liveCount();
-  // Mutate heavily past the snapshot.
+  // Exact observable state: per-row liveness plus every key's output.
+  struct State {
+    std::vector<bool> Live;
+    size_t LiveCount;
+    std::vector<std::optional<uint64_t>> Outputs;
+    bool operator==(const State &) const = default;
+  };
+  auto capture = [&T] {
+    State S{{}, T.liveCount(), {}};
+    for (size_t Row = 0; Row < T.rowCount(); ++Row)
+      S.Live.push_back(T.isLive(Row));
+    for (uint64_t I = 0; I < 320; ++I) {
+      Value Keys[2] = {v(I), v(I < 40 ? I * 2 : I)};
+      std::optional<Value> Found = T.lookup(Keys);
+      S.Outputs.push_back(Found ? std::optional<uint64_t>(Found->Bits)
+                                : std::nullopt);
+    }
+    return S;
+  };
+  State AtOuter = capture();
+  Table::TxnMark Outer = T.txnMark();
+
+  // Between the marks: update every key (kill + append, erased keys
+  // reborn as fresh rows).
   for (uint64_t I = 0; I < 40; ++I) {
     Value Keys[2] = {v(I), v(I * 2)};
     T.insert(Keys, v(I * 5 + 1), 9);
   }
+  State AtInner = capture();
+  Table::TxnMark Inner = T.txnMark();
+
+  // Past the inner mark: kills of rows appended between the marks, and
+  // fresh appends.
+  for (uint64_t I = 0; I < 40; I += 3) {
+    Value Keys[2] = {v(I), v(I * 2)};
+    T.erase(Keys);
+  }
   for (uint64_t I = 200; I < 230; ++I) {
     Value Keys[2] = {v(I), v(I)};
-    T.insert(Keys, v(I), 9);
+    T.insert(Keys, v(I), 10);
   }
-  T.restore(S);
-  EXPECT_EQ(T.rowCount(), S.Rows);
-  EXPECT_EQ(T.liveCount(), LiveAtSnap);
+  T.rollbackTo(Inner);
+  EXPECT_EQ(T.rowCount(), Inner.Rows);
+  EXPECT_TRUE(capture() == AtInner) << "inner rollback is exact";
+
+  // More work under the still-open outer mark, then its rollback.
+  for (uint64_t I = 300; I < 310; ++I) {
+    Value Keys[2] = {v(I), v(I)};
+    T.insert(Keys, v(I), 11);
+  }
+  Value Keys1[2] = {v(1), v(2)};
+  EXPECT_TRUE(T.erase(Keys1));
+  T.rollbackTo(Outer);
+  EXPECT_EQ(T.rowCount(), Outer.Rows);
+  State AfterOuter = capture();
+  EXPECT_TRUE(AfterOuter == AtOuter) << "outer rollback is exact";
   for (uint64_t I = 0; I < 40; ++I) {
-    Value Keys[2] = {v(I), v(I * 2)};
-    auto Found = T.lookup(Keys);
-    if (I % 5 == 0) {
-      EXPECT_FALSE(Found.has_value()) << "erased key " << I << " stays dead";
-    } else {
-      ASSERT_TRUE(Found.has_value()) << "key " << I;
-      EXPECT_EQ(Found->Bits, I * 5) << "pre-snapshot output restored";
-    }
+    if (I % 5 == 0)
+      EXPECT_FALSE(AfterOuter.Outputs[I].has_value())
+          << "erased key " << I << " stays dead";
+    else
+      EXPECT_EQ(AfterOuter.Outputs[I], I * 5) << "pre-mark output " << I;
   }
-  Value Fresh[2] = {v(200), v(200)};
-  EXPECT_FALSE(T.lookup(Fresh).has_value());
 }
 
 TEST(TableColumnarTest, ApproxBytesTracksColumnPayload) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 using egglog::UnionFind;
 
@@ -44,6 +45,65 @@ TEST(UnionFindTest, UniteIsIdempotent) {
   UF.unite(B, A);
   EXPECT_EQ(UF.unionCount(), Count) << "re-uniting must not count";
   EXPECT_TRUE(UF.congruent(A, B));
+}
+
+TEST(UnionFindTest, NestedRollbackUndoesCompressionBetweenMarks) {
+  // A (push) context keeps an outer mark open while commands open and
+  // close inner ones, and finds between them compress paths across unions
+  // made after the outer mark. Rolling back the outer mark must still
+  // return the exact pre-mark parent array.
+  UnionFind UF;
+  constexpr uint64_t N = 64;
+  for (uint64_t I = 0; I < N; ++I)
+    UF.makeSet();
+  UF.unite(10, 20);
+  UF.unite(30, 31);
+  auto findAll = [&UF] {
+    std::vector<uint64_t> Roots;
+    for (uint64_t I = 0; I < N; ++I)
+      Roots.push_back(UF.find(I));
+    return Roots;
+  };
+  std::vector<uint64_t> PreRoots = findAll();
+  std::vector<uint64_t> PreParents = UF.parents();
+  uint64_t PreUnions = UF.unionCount();
+
+  UnionFind::TxnMark Outer = UF.txnBegin();
+  // A 32-deep chain 63 -> 62 -> ... -> 32, hung under the pre-mark class
+  // of 30; the deep finds then shortcut across these post-mark unions.
+  for (uint64_t I = N - 2; I >= 32; --I)
+    UF.unite(I, I + 1);
+  UF.unite(31, 32);
+  EXPECT_EQ(UF.find(N - 1), 30u);
+  EXPECT_EQ(UF.find(48), 30u);
+
+  // A committed inner mark (a command that succeeded inside the context).
+  UnionFind::TxnMark Committed = UF.txnBegin();
+  EXPECT_GT(Committed.UndoLogSize, 0u) << "the outer mark journals";
+  UF.unite(1, 2);
+  UF.txnCommit();
+  std::vector<uint64_t> AtInner = findAll();
+  std::vector<uint64_t> InnerParents = UF.parents();
+  uint64_t InnerUnions = UF.unionCount();
+
+  // A rolled-back inner mark (a failed command).
+  UnionFind::TxnMark Inner = UF.txnBegin();
+  UF.unite(0, N - 1);
+  UF.makeSet();
+  EXPECT_EQ(UF.find(48), 0u);
+  UF.txnRollback(Inner);
+  EXPECT_EQ(UF.size(), N);
+  EXPECT_EQ(UF.parents(), InnerParents);
+  EXPECT_EQ(UF.unionCount(), InnerUnions);
+  EXPECT_EQ(findAll(), AtInner);
+
+  // More compression under the still-open outer mark, then its rollback.
+  UF.unite(5, 40);
+  findAll();
+  UF.txnRollback(Outer);
+  EXPECT_EQ(UF.parents(), PreParents);
+  EXPECT_EQ(findAll(), PreRoots);
+  EXPECT_EQ(UF.unionCount(), PreUnions);
 }
 
 class UnionFindPropertyTest : public ::testing::TestWithParam<uint32_t> {};
