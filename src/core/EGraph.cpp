@@ -70,7 +70,7 @@ FunctionId EGraph::declareFunction(FunctionDecl Decl) {
   assert(Decl.Cost >= 0 && "negative extraction cost");
   FunctionId Id = static_cast<FunctionId>(Functions.size());
   auto Info = std::make_unique<FunctionInfo>();
-  Info->Storage = std::make_unique<Table>(Decl.ArgSorts.size());
+  Info->Storage = std::make_unique<Table>(Decl.ArgSorts.size(), Id);
   Info->Decl = std::move(Decl);
 
   // Classify columns for the incremental rebuild: id-sort columns feed the
@@ -581,21 +581,8 @@ size_t EGraph::liveTupleCount() const {
 
 uint64_t EGraph::liveContentHash() const {
   uint64_t Total = 0;
-  std::vector<const Value *> Cols;
-  for (size_t F = 0; F < Functions.size(); ++F) {
-    const Table &T = *Functions[F]->Storage;
-    unsigned Width = T.rowWidth();
-    Cols.resize(Width);
-    for (unsigned I = 0; I < Width; ++I)
-      Cols[I] = T.column(I);
-    for (size_t Row : T.liveRows()) {
-      uint64_t RowHash = hashMix(F + 0x9E3779B97F4A7C15ull);
-      for (unsigned I = 0; I < Width; ++I)
-        RowHash = hashCombine(RowHash, Cols[I][Row].hash());
-      // Sum keeps the accumulator order-independent across rows.
-      Total += RowHash;
-    }
-  }
+  for (const auto &Info : Functions)
+    Total += Info->Storage->liveHash();
   return Total;
 }
 

@@ -119,20 +119,6 @@ bool Engine::lookupRuleset(const std::string &Name, RulesetId &Out) const {
   return true;
 }
 
-uint64_t Engine::mutationStamp() const {
-  uint64_t Stamp = Graph.unionFind().unionCount();
-  for (size_t F = 0; F < Graph.numFunctions(); ++F)
-    Stamp += Graph.function(F).Storage->version();
-  return Stamp;
-}
-
-bool Engine::anyBanPending(RulesetId Ruleset) const {
-  for (size_t R = 0; R < Rules.size(); ++R)
-    if (Rules[R].Ruleset == Ruleset && GlobalIteration < States[R].BannedUntil)
-      return true;
-  return false;
-}
-
 void Engine::fastForwardBans(RulesetId Ruleset) {
   uint64_t Earliest = UINT64_MAX;
   for (size_t R = 0; R < Rules.size(); ++R)
@@ -143,7 +129,7 @@ void Engine::fastForwardBans(RulesetId Ruleset) {
   // Shift this ruleset's bans earlier by the dead time instead of
   // advancing the shared iteration clock: other rulesets' bans must keep
   // suppressing their rules for the full span of *actual* iterations.
-  // run() pre-increments GlobalIteration, so an expiry of
+  // step() pre-increments GlobalIteration, so an expiry of
   // GlobalIteration + 1 makes the earliest-banned rule runnable in the
   // very next iteration; relative expiry order within the ruleset is
   // preserved.
@@ -155,307 +141,226 @@ void Engine::fastForwardBans(RulesetId Ruleset) {
       States[R].BannedUntil -= Dead;
 }
 
-uint64_t Engine::contentHashAt(uint64_t Stamp) {
-  if (!CachedSigValid || CachedSigStamp != Stamp) {
-    CachedSigHash = Graph.liveContentHash();
-    CachedSigStamp = Stamp;
-    CachedSigValid = true;
-  }
-  return CachedSigHash;
-}
-
-RunReport Engine::run(const RunOptions &Options) {
-  RunReport Report;
-  Timer Total;
-
-  // (Re)create the execution contexts if rules were added since the last
-  // run (Rules may have reallocated, invalidating the Query references
-  // the executors hold; a size mismatch is the only way that happens —
-  // restore() clears them outright).
-  ensureVariantExecutors();
-  if (!Pool)
-    Pool = std::make_unique<ThreadPool>(NumThreads);
-
-  // Top-level unions between runs leave the database non-canonical; queries
-  // require canonical form.
-  if (Graph.needsRebuild())
-    Graph.rebuild();
-  if (Graph.failed()) {
-    Report.TotalSeconds = Total.seconds();
-    return Report;
-  }
-
-  // Saturation detection compares the database's live content across an
-  // iteration: live counts (not rowCount(), which includes dead rows) and,
-  // only when the counts stall, an order-independent content hash.
-  // Dead-row churn — a kill and re-append of identical live content —
-  // cannot mask saturation, while a merge that changes an output (same
-  // live count!) still registers as progress. The hash state persists on
-  // the Engine, so it is recomputed only at candidate saturation points —
-  // at worst one extra iteration runs before saturation is declared.
-  size_t LiveBefore = Graph.liveTupleCount();
-  uint64_t UnionsBefore = Graph.unionFind().unionCount();
-  if (HasContentHash && mutationStamp() != LastMutationStamp)
-    HasContentHash = false;
-
-  const ResourceGovernor &Gov = Graph.governor();
-  for (unsigned Iter = 0; Iter < Options.Iterations; ++Iter) {
-    ++GlobalIteration;
-    IterationStats Stats;
-    Timer Phase;
-    EGGLOG_FAILPOINT("engine.iter");
-    // Ends the run mid-iteration (governor trip, timeout, database failure)
-    // with this iteration's partial stats on record.
-    auto StopHere = [&] {
-      Report.Iterations.push_back(Stats);
-      Report.TotalSeconds = Total.seconds();
-      return Report;
-    };
-
-    auto TimedOutNow = [&] {
-      return Options.TimeoutSeconds > 0 &&
-             Total.seconds() > Options.TimeoutSeconds;
-    };
-    auto RuleThreshold = [&](size_t R) {
-      // BackOff threshold: collection aborts as soon as a rule exceeds it
-      // (the matches would be dropped anyway, and collecting them all can
-      // exhaust memory on explosive rule sets).
-      return Options.UseBackoff
-                 ? (Options.BackoffMatchLimit << States[R].TimesBanned)
-                 : UINT64_MAX;
-    };
-
-    //=== Match phase: one work item per (rule, delta variant). ============
-    // Each item collects its matches into a flat arena (NumVars values per
-    // match); the apply phase drains the items in (rule declaration,
-    // variant, match) order, so the database mutation order — and with it
-    // every fresh id and liveContentHash — is independent of the thread
-    // count. Rules outside the selected ruleset are skipped entirely;
-    // their DeltaStart stays put, so when their ruleset next runs, the
-    // delta covers everything that happened in between (phased schedules
-    // stay semi-naïve-correct).
-    struct WorkItem {
-      size_t Rule = 0;
-      QueryExecutor *Exec = nullptr;
-      /// Per-atom delta restriction; empty = unrestricted (the full,
-      /// non-incremental search).
-      const std::vector<AtomFilter> *Filters = &NoFilters;
-      uint32_t Bound = 0;
-      std::vector<Value> Arena;
-      size_t Count = 0;
-      /// Share of Count already added to the rule's shared counter (for
-      /// cross-variant BackOff cancellation).
-      uint64_t Published = 0;
-    };
-    std::vector<WorkItem> Items; // (rule, variant) ascending
-    Items.reserve(Rules.size());
-    bool AnyBanned = false;
-    for (size_t R = 0; R < Rules.size(); ++R) {
-      if (Rules[R].Ruleset != Options.Ruleset)
-        continue;
-      RuleState &State = States[R];
-      if (Options.UseBackoff && GlobalIteration < State.BannedUntil) {
-        AnyBanned = true;
-        continue;
-      }
-      const Query &Body = Rules[R].Body;
-      // One delta variant per atom (§4.3), or the single full search.
-      bool Incremental =
-          Options.SemiNaive && State.DeltaStart > 0 && !Body.Atoms.empty();
-      size_t NumVariants = Incremental ? Body.Atoms.size() : 1;
-      for (size_t V = 0; V < NumVariants; ++V) {
-        WorkItem Item;
-        Item.Rule = R;
-        std::unique_ptr<QueryExecutor> &Exec = VariantExecutors[R][V].Exec;
-        if (!Exec)
-          Exec = std::make_unique<QueryExecutor>(Graph, Body);
-        Item.Exec = Exec.get();
-        if (Incremental) {
-          Item.Bound = State.DeltaStart;
-          Item.Filters = &VariantExecutors[R][V].Filters;
-        }
-        Items.push_back(std::move(Item));
-      }
-    }
-
-    // Per-rule match totals shared by the rule's variants. Publish adds an
-    // item's not yet counted matches and returns the rule's total so far.
-    auto RuleCounts = std::make_unique<std::atomic<uint64_t>[]>(Rules.size());
-    auto Publish = [&](WorkItem &Item) {
-      uint64_t Unpublished = Item.Count - Item.Published;
-      Item.Published = Item.Count;
-      return RuleCounts[Item.Rule].fetch_add(Unpublished,
-                                             std::memory_order_relaxed) +
-             Unpublished;
-    };
-    auto ItemCancelled = [&](WorkItem &Item) {
-      EGGLOG_FAILPOINT("match.step");
-      if (TimedOutNow() || Gov.pollQuick() != GovernorVerdict::Ok)
-        return true;
-      // Sibling variants of an over-matching rule abort too. The ban
-      // decision stays deterministic: an abort fires only once the
-      // published total exceeds the threshold, and then the final total —
-      // published counts only ever grow — exceeds it as well.
-      uint64_t Threshold = RuleThreshold(Item.Rule);
-      return Threshold != UINT64_MAX && Publish(Item) > Threshold;
-    };
-    auto RunItem = [&](WorkItem &Item) {
-      uint64_t Threshold = RuleThreshold(Item.Rule);
-      // Out of time, or a sibling variant already pushed the rule over its
-      // BackOff threshold (its matches are dropped anyway): skip the item.
-      if (TimedOutNow() ||
-          RuleCounts[Item.Rule].load(std::memory_order_relaxed) > Threshold)
-        return;
-      // Two references: small enough for std::function's inline storage.
-      std::function<bool()> Cancel = [&Item, &ItemCancelled] {
-        return ItemCancelled(Item);
-      };
-      Item.Exec->join(Item.Arena, Item.Count, &Cancel);
-      // Publish the remainder, so a later sibling variant of an
-      // over-matching rule is skipped outright; once the rule is over its
-      // threshold its matches will be dropped, so free them now (Count
-      // stays for the ban decision).
-      if (Publish(Item) > Threshold)
-        std::vector<Value>().swap(Item.Arena);
-    };
-
-    // Prepare, on this thread and in item order: every lazy database-side
-    // step of the match phase (partition counts, index builds and
-    // refreshes, constant canonicalization). After this the tables and
-    // their index caches stay untouched until apply, so the joins below
-    // only read them.
-    for (WorkItem &Item : Items)
-      Item.Exec->prepare(*Item.Filters, Item.Bound);
-    Stats.WarmSeconds = Phase.seconds();
-    // Join. Rules whose query primitives may intern values or
-    // canonicalize ids (see queryIsParallelSafe) write structures other
-    // joins read, so they join first, here on this thread, in declaration
-    // order — which also keeps their interning order deterministic. The
-    // rest go to the pool, which at one thread runs them inline and in
-    // order.
-    std::vector<size_t> PoolItems;
-    PoolItems.reserve(Items.size());
-    for (size_t I = 0; I < Items.size(); ++I) {
-      if (RuleParallelSafe[Items[I].Rule])
-        PoolItems.push_back(I);
-      else
-        RunItem(Items[I]);
-    }
-    Pool->parallelFor(PoolItems.size(),
-                      [&](size_t K) { RunItem(Items[PoolItems[K]]); });
-    Stats.SearchSeconds = Phase.seconds();
-    // Governor trips are hard stops (ErrKind::Limit, command rolls back),
-    // unlike the legacy RunOptions timeout below, which is a graceful
-    // partial-result stop at iteration granularity.
-    if (Graph.governorTripped())
-      return StopHere();
-    if (TimedOutNow()) {
-      Report.TimedOut = true;
-      return StopHere();
-    }
-
-    // Per-rule totals drive BackOff and the semi-naïve bookkeeping. A
-    // rule over its threshold has its matches dropped and is banned; its
-    // DeltaStart is left untouched so the dropped work is re-derived
-    // after the ban.
-    std::vector<uint64_t> RuleTotal(Rules.size(), 0);
-    std::vector<char> RuleRan(Rules.size(), 0);
-    for (const WorkItem &Item : Items) {
-      RuleTotal[Item.Rule] += Item.Count;
-      RuleRan[Item.Rule] = 1;
-    }
-    std::vector<char> RuleDropped(Rules.size(), 0);
-    for (size_t R = 0; R < Rules.size(); ++R) {
-      if (!RuleRan[R])
-        continue;
-      RuleState &State = States[R];
-      if (RuleTotal[R] > RuleThreshold(R)) {
-        uint64_t BanSpan = Options.BackoffBanLength << State.TimesBanned;
-        State.BannedUntil = GlobalIteration + BanSpan;
-        ++State.TimesBanned;
-        AnyBanned = true;
-        RuleDropped[R] = 1;
-        continue;
-      }
-      State.DeltaStart = Graph.timestamp() + 1;
-      Stats.Matches += RuleTotal[R];
-    }
-    for (WorkItem &Item : Items)
-      if (RuleDropped[Item.Rule])
-        std::vector<Value>().swap(Item.Arena);
-
-    //=== Apply phase: the only phase that mutates the database. ===========
-    // Items drain in (rule, variant, match) order whatever the thread
-    // count, so mutation order cannot depend on it.
-    Phase.reset();
-    Graph.bumpTimestamp();
-    std::vector<Value> Env;
-    for (const WorkItem &Item : Items) {
-      if (RuleDropped[Item.Rule])
-        continue;
-      const Rule &TheRule = Rules[Item.Rule];
-      size_t Stride = TheRule.Body.NumVars;
-      for (size_t M = 0; M < Item.Count; ++M) {
-        if (!Graph.governorCheckpoint("apply.match"))
-          return StopHere();
-        const Value *Match = Item.Arena.data() + M * Stride;
-        Env.assign(Match, Match + Stride);
-        Env.resize(TheRule.NumSlots);
-        if (!Graph.runActions(TheRule.Actions, Env)) {
-          if (Graph.failed())
-            return StopHere();
-          // A failed action (e.g. primitive failure) only abandons this
-          // match, mirroring guarded rewrites.
-          Graph.clearError();
-        }
-      }
-    }
-    Stats.ApplySeconds = Phase.seconds();
-
-    //=== Rebuild phase: restore congruence and canonical form. ============
-    Phase.reset();
-    Stats.RebuildPasses = Graph.rebuild();
-    Stats.RebuildSeconds = Phase.seconds();
-    if (Graph.failed())
-      return StopHere();
-
-    Stats.TuplesAfter = Graph.liveTupleCount();
-    Stats.UnionsAfter = Graph.unionFind().unionCount();
+bool Engine::step(const RunOptions &Options, const Deadline &Due,
+                  RunReport &Report, bool &AnyBanned) {
+  ++GlobalIteration;
+  IterationStats Stats;
+  Timer Phase;
+  EGGLOG_FAILPOINT("engine.iter");
+  // Ends the iteration early (governor trip, timeout, database failure)
+  // with its partial stats on record.
+  auto StopHere = [&] {
     Report.Iterations.push_back(Stats);
+    return false;
+  };
+  const ResourceGovernor &Gov = Graph.governor();
 
-    bool Changed = Stats.TuplesAfter != LiveBefore ||
-                   Stats.UnionsAfter != UnionsBefore;
-    if (!Changed && !AnyBanned) {
-      // Only a potential saturation point (no banned rules pending) needs
-      // the content-hash tiebreak. Matching a previously hashed state
-      // means the engine revisited it — a fixpoint or a churn cycle —
-      // so stopping is sound either way.
-      uint64_t ContentAfter = Graph.liveContentHash();
-      Changed = !HasContentHash || ContentAfter != LastContentHash;
-      LastContentHash = ContentAfter;
-      LastMutationStamp = mutationStamp();
-      HasContentHash = true;
-    }
-    LiveBefore = Stats.TuplesAfter;
-    UnionsBefore = Stats.UnionsAfter;
+  auto RuleThreshold = [&](size_t R) {
+    // BackOff threshold: collection aborts as soon as a rule exceeds it
+    // (the matches would be dropped anyway, and collecting them all can
+    // exhaust memory on explosive rule sets).
+    return Options.UseBackoff
+               ? (Options.BackoffMatchLimit << States[R].TimesBanned)
+               : UINT64_MAX;
+  };
 
-    if (!Changed && !AnyBanned) {
-      Report.Saturated = true;
-      break;
+  //=== Match phase: one work item per (rule, delta variant). ==============
+  // Each item collects its matches into a flat arena (NumVars values per
+  // match); the apply phase drains the items in (rule declaration,
+  // variant, match) order, so the database mutation order — and with it
+  // every fresh id and liveContentHash — is independent of the thread
+  // count. Rules outside the selected ruleset are skipped entirely;
+  // their DeltaStart stays put, so when their ruleset next runs, the
+  // delta covers everything that happened in between (phased schedules
+  // stay semi-naïve-correct).
+  struct WorkItem {
+    size_t Rule = 0;
+    QueryExecutor *Exec = nullptr;
+    /// Per-atom delta restriction; empty = unrestricted (the full,
+    /// non-incremental search).
+    const std::vector<AtomFilter> *Filters = &NoFilters;
+    uint32_t Bound = 0;
+    std::vector<Value> Arena;
+    size_t Count = 0;
+    /// Share of Count already added to the rule's shared counter (for
+    /// cross-variant BackOff cancellation).
+    uint64_t Published = 0;
+  };
+  std::vector<WorkItem> Items; // (rule, variant) ascending
+  Items.reserve(Rules.size());
+  for (size_t R = 0; R < Rules.size(); ++R) {
+    if (Rules[R].Ruleset != Options.Ruleset)
+      continue;
+    RuleState &State = States[R];
+    if (Options.UseBackoff && GlobalIteration < State.BannedUntil) {
+      AnyBanned = true;
+      continue;
     }
-    if (Options.NodeLimit && Stats.TuplesAfter > Options.NodeLimit) {
-      Report.HitNodeLimit = true;
-      break;
-    }
-    if (Options.TimeoutSeconds > 0 &&
-        Total.seconds() > Options.TimeoutSeconds) {
-      Report.TimedOut = true;
-      break;
+    const Query &Body = Rules[R].Body;
+    // One delta variant per atom (§4.3), or the single full search.
+    bool Incremental =
+        Options.SemiNaive && State.DeltaStart > 0 && !Body.Atoms.empty();
+    size_t NumVariants = Incremental ? Body.Atoms.size() : 1;
+    for (size_t V = 0; V < NumVariants; ++V) {
+      WorkItem Item;
+      Item.Rule = R;
+      std::unique_ptr<QueryExecutor> &Exec = VariantExecutors[R][V].Exec;
+      if (!Exec)
+        Exec = std::make_unique<QueryExecutor>(Graph, Body);
+      Item.Exec = Exec.get();
+      if (Incremental) {
+        Item.Bound = State.DeltaStart;
+        Item.Filters = &VariantExecutors[R][V].Filters;
+      }
+      Items.push_back(std::move(Item));
     }
   }
 
-  Report.TotalSeconds = Total.seconds();
-  return Report;
+  // Per-rule match totals shared by the rule's variants. Publish adds an
+  // item's not yet counted matches and returns the rule's total so far.
+  auto RuleCounts = std::make_unique<std::atomic<uint64_t>[]>(Rules.size());
+  auto Publish = [&](WorkItem &Item) {
+    uint64_t Unpublished = Item.Count - Item.Published;
+    Item.Published = Item.Count;
+    return RuleCounts[Item.Rule].fetch_add(Unpublished,
+                                           std::memory_order_relaxed) +
+           Unpublished;
+  };
+  auto ItemCancelled = [&](WorkItem &Item) {
+    EGGLOG_FAILPOINT("match.step");
+    if (expired(Due) || Gov.pollQuick() != GovernorVerdict::Ok)
+      return true;
+    // Sibling variants of an over-matching rule abort too. The ban
+    // decision stays deterministic: an abort fires only once the
+    // published total exceeds the threshold, and then the final total —
+    // published counts only ever grow — exceeds it as well.
+    uint64_t Threshold = RuleThreshold(Item.Rule);
+    return Threshold != UINT64_MAX && Publish(Item) > Threshold;
+  };
+  auto RunItem = [&](WorkItem &Item) {
+    uint64_t Threshold = RuleThreshold(Item.Rule);
+    // Out of time, or a sibling variant already pushed the rule over its
+    // BackOff threshold (its matches are dropped anyway): skip the item.
+    if (expired(Due) ||
+        RuleCounts[Item.Rule].load(std::memory_order_relaxed) > Threshold)
+      return;
+    // Two references: small enough for std::function's inline storage.
+    std::function<bool()> Cancel = [&Item, &ItemCancelled] {
+      return ItemCancelled(Item);
+    };
+    Item.Exec->join(Item.Arena, Item.Count, &Cancel);
+    // Publish the remainder, so a later sibling variant of an
+    // over-matching rule is skipped outright; once the rule is over its
+    // threshold its matches will be dropped, so free them now (Count
+    // stays for the ban decision).
+    if (Publish(Item) > Threshold)
+      std::vector<Value>().swap(Item.Arena);
+  };
+
+  // Prepare, on this thread and in item order: every lazy database-side
+  // step of the match phase (partition counts, index builds and
+  // refreshes, constant canonicalization). After this the tables and
+  // their index caches stay untouched until apply, so the joins below
+  // only read them.
+  for (WorkItem &Item : Items)
+    Item.Exec->prepare(*Item.Filters, Item.Bound);
+  Stats.WarmSeconds = Phase.seconds();
+  // Join. Rules whose query primitives may intern values or
+  // canonicalize ids (see queryIsParallelSafe) write structures other
+  // joins read, so they join first, here on this thread, in declaration
+  // order — which also keeps their interning order deterministic. The
+  // rest go to the pool, which at one thread runs them inline and in
+  // order.
+  std::vector<size_t> PoolItems;
+  PoolItems.reserve(Items.size());
+  for (size_t I = 0; I < Items.size(); ++I) {
+    if (RuleParallelSafe[Items[I].Rule])
+      PoolItems.push_back(I);
+    else
+      RunItem(Items[I]);
+  }
+  Pool->parallelFor(PoolItems.size(),
+                    [&](size_t K) { RunItem(Items[PoolItems[K]]); });
+  Stats.SearchSeconds = Phase.seconds();
+  // Governor trips are hard stops (ErrKind::Limit, command rolls back),
+  // unlike the RunOptions deadline below, a graceful partial-result stop
+  // before any of this iteration's matches is applied.
+  if (Graph.governorTripped())
+    return StopHere();
+  if (expired(Due)) {
+    Report.TimedOut = true;
+    return StopHere();
+  }
+
+  // Per-rule totals drive BackOff and the semi-naïve bookkeeping. A
+  // rule over its threshold has its matches dropped and is banned; its
+  // DeltaStart is left untouched so the dropped work is re-derived
+  // after the ban.
+  std::vector<uint64_t> RuleTotal(Rules.size(), 0);
+  std::vector<char> RuleRan(Rules.size(), 0);
+  for (const WorkItem &Item : Items) {
+    RuleTotal[Item.Rule] += Item.Count;
+    RuleRan[Item.Rule] = 1;
+  }
+  std::vector<char> RuleDropped(Rules.size(), 0);
+  for (size_t R = 0; R < Rules.size(); ++R) {
+    if (!RuleRan[R])
+      continue;
+    RuleState &State = States[R];
+    if (RuleTotal[R] > RuleThreshold(R)) {
+      uint64_t BanSpan = Options.BackoffBanLength << State.TimesBanned;
+      State.BannedUntil = GlobalIteration + BanSpan;
+      ++State.TimesBanned;
+      AnyBanned = true;
+      RuleDropped[R] = 1;
+      continue;
+    }
+    State.DeltaStart = Graph.timestamp() + 1;
+    Stats.Matches += RuleTotal[R];
+  }
+  for (WorkItem &Item : Items)
+    if (RuleDropped[Item.Rule])
+      std::vector<Value>().swap(Item.Arena);
+
+  //=== Apply phase: the only phase that mutates the database. =============
+  // Items drain in (rule, variant, match) order whatever the thread
+  // count, so mutation order cannot depend on it.
+  Phase.reset();
+  Graph.bumpTimestamp();
+  std::vector<Value> Env;
+  for (const WorkItem &Item : Items) {
+    if (RuleDropped[Item.Rule])
+      continue;
+    const Rule &TheRule = Rules[Item.Rule];
+    size_t Stride = TheRule.Body.NumVars;
+    for (size_t M = 0; M < Item.Count; ++M) {
+      if (!Graph.governorCheckpoint("apply.match"))
+        return StopHere();
+      const Value *Match = Item.Arena.data() + M * Stride;
+      Env.assign(Match, Match + Stride);
+      Env.resize(TheRule.NumSlots);
+      if (!Graph.runActions(TheRule.Actions, Env)) {
+        if (Graph.failed())
+          return StopHere();
+        // A failed action (e.g. primitive failure) only abandons this
+        // match, mirroring guarded rewrites.
+        Graph.clearError();
+      }
+    }
+  }
+  Stats.ApplySeconds = Phase.seconds();
+
+  //=== Rebuild phase: restore congruence and canonical form. ==============
+  Phase.reset();
+  Stats.RebuildPasses = Graph.rebuild();
+  Stats.RebuildSeconds = Phase.seconds();
+  if (Graph.failed())
+    return StopHere();
+
+  Stats.TuplesAfter = Graph.liveTupleCount();
+  Stats.UnionsAfter = Graph.unionFind().unionCount();
+  Report.Iterations.push_back(Stats);
+  return true;
 }
 
 //===----------------------------------------------------------------------===
@@ -463,17 +368,6 @@ RunReport Engine::run(const RunOptions &Options) {
 //===----------------------------------------------------------------------===
 
 namespace {
-
-/// Folds a leaf run's report into the schedule-wide report. Saturated is
-/// NOT folded here: whether the whole schedule is at a fixpoint is a
-/// per-node verdict (a later leaf saturating says nothing about an
-/// earlier one), set by the node cases below.
-void appendReport(RunReport &Total, const RunReport &Leaf) {
-  Total.Iterations.insert(Total.Iterations.end(), Leaf.Iterations.begin(),
-                          Leaf.Iterations.end());
-  Total.HitNodeLimit |= Leaf.HitNodeLimit;
-  Total.TimedOut |= Leaf.TimedOut;
-}
 
 /// Safety valve for (saturate ...) over schedules that never converge and
 /// carry no timeout or node limit. Generous: real workloads either
@@ -483,7 +377,8 @@ constexpr size_t MaxSaturatePasses = 1 << 20;
 } // namespace
 
 bool Engine::runScheduleNode(const Schedule &S, const RunOptions &Base,
-                             RunReport &Total, Timer &Clock, bool &Stop) {
+                             RunReport &Total, const Deadline &Due,
+                             bool &Stop) {
   if (Stop)
     return false;
 
@@ -491,58 +386,43 @@ bool Engine::runScheduleNode(const Schedule &S, const RunOptions &Base,
   case Schedule::Kind::Run: {
     RunOptions Opts = Base;
     Opts.Ruleset = S.Ruleset;
-    // TimeoutSeconds budgets the whole schedule: hand each run() only what
-    // remains on the clock, re-checked before every call.
-    auto LeafTimeoutOk = [&] {
-      if (Base.TimeoutSeconds <= 0)
-        return true;
-      double Remaining = Base.TimeoutSeconds - Clock.seconds();
-      if (Remaining <= 0) {
-        Total.TimedOut = true;
-        Stop = true;
-        return false;
-      }
-      Opts.TimeoutSeconds = Remaining;
-      return true;
-    };
-
-    size_t LiveBefore = Graph.liveTupleCount();
-    uint64_t UnionsBefore = Graph.unionFind().unionCount();
-    uint64_t StampBefore = mutationStamp();
-    uint64_t HashBefore = contentHashAt(StampBefore);
-
+    // Top-level unions between runs leave the database non-canonical;
+    // queries and :until facts require canonical form.
+    if (Graph.needsRebuild())
+      Graph.rebuild();
+    // Progress is judged on the live content (the O(1) content hash the
+    // tables maintain) plus the union count, never on row counts: dead-row
+    // churn — a kill and re-append of identical content — is no progress,
+    // while a merge that changes an output in place is.
+    uint64_t LeafHash = Graph.liveContentHash();
+    uint64_t LeafUnions = Graph.unionFind().unionCount();
     bool LeafSaturated = false;
     bool GoalMet = false;
-    if (S.Until.empty()) {
-      if (!LeafTimeoutOk())
-        return false;
-      Opts.Iterations = S.Times;
-      RunReport Leaf = run(Opts);
-      LeafSaturated = Leaf.Saturated;
-      appendReport(Total, Leaf);
-    } else {
-      // Run one iteration at a time so the :until facts are re-checked at
-      // every step (including before the first, so an already-satisfied
-      // goal runs nothing).
-      Opts.Iterations = 1;
-      for (unsigned Iter = 0; Iter < S.Times; ++Iter) {
-        if (Graph.needsRebuild())
-          Graph.rebuild();
-        bool AllHold = true;
-        for (const CheckFact &Fact : S.Until)
-          AllHold &= Graph.checkFact(Fact);
-        if (AllHold) {
-          GoalMet = true;
-          break;
-        }
-        if (!LeafTimeoutOk())
-          return false;
-        RunReport Leaf = run(Opts);
-        LeafSaturated = Leaf.Saturated;
-        appendReport(Total, Leaf);
-        if (Leaf.Saturated || Leaf.TimedOut || Leaf.HitNodeLimit ||
-            Graph.failed())
-          break;
+    bool AnyBanned = false;
+    for (unsigned Iter = 0; Iter < S.Times && !Graph.failed(); ++Iter) {
+      if (!S.Until.empty() &&
+          std::all_of(S.Until.begin(), S.Until.end(),
+                      [&](const CheckFact &F) { return Graph.checkFact(F); })) {
+        GoalMet = true;
+        break;
+      }
+      uint64_t Hash = Graph.liveContentHash();
+      uint64_t Unions = Graph.unionFind().unionCount();
+      AnyBanned = false;
+      if (!step(Opts, Due, Total, AnyBanned))
+        break;
+      if (!AnyBanned && Graph.liveContentHash() == Hash &&
+          Graph.unionFind().unionCount() == Unions) {
+        LeafSaturated = true;
+        break;
+      }
+      if (Opts.NodeLimit && Graph.liveTupleCount() > Opts.NodeLimit) {
+        Total.HitNodeLimit = true;
+        break;
+      }
+      if (expired(Due)) {
+        Total.TimedOut = true;
+        break;
       }
     }
     if (Total.TimedOut || Total.HitNodeLimit || Graph.failed())
@@ -551,27 +431,13 @@ bool Engine::runScheduleNode(const Schedule &S, const RunOptions &Base,
     // enclosing combinators overwrite it with their own.
     Total.Saturated = LeafSaturated;
 
-    // Progress detection without re-hashing the database in the common
-    // cases: an identical mutation stamp means nothing was touched at
-    // all, and changed live/union counts are definite progress. Only the
-    // ambiguous case — mutations with identical counts, e.g. lattice
-    // merges or kill/re-append churn — pays for the content hash.
-    bool ContentChanged;
-    uint64_t StampAfter = mutationStamp();
-    if (StampAfter == StampBefore)
-      ContentChanged = false;
-    else if (Graph.liveTupleCount() != LiveBefore ||
-             Graph.unionFind().unionCount() != UnionsBefore)
-      ContentChanged = true;
-    else
-      ContentChanged = contentHashAt(StampAfter) != HashBefore;
-
+    bool ContentChanged = Graph.liveContentHash() != LeafHash ||
+                          Graph.unionFind().unionCount() != LeafUnions;
     // Pending BackOff bans count as progress so an enclosing saturate
     // keeps going (the dropped matches are pending) — except when the
     // :until goal is met, which ends this leaf's work regardless. When
     // only bans are pending, skip the dead time until the next expiry.
-    bool BansPending =
-        !GoalMet && Opts.UseBackoff && anyBanPending(S.Ruleset);
+    bool BansPending = !GoalMet && AnyBanned;
     if (!ContentChanged && BansPending)
       fastForwardBans(S.Ruleset);
     return ContentChanged || BansPending;
@@ -580,7 +446,7 @@ bool Engine::runScheduleNode(const Schedule &S, const RunOptions &Base,
   case Schedule::Kind::Seq: {
     bool Updated = false;
     for (const Schedule &Child : S.Children) {
-      Updated |= runScheduleNode(Child, Base, Total, Clock, Stop);
+      Updated |= runScheduleNode(Child, Base, Total, Due, Stop);
       if (Stop)
         break;
     }
@@ -600,7 +466,7 @@ bool Engine::runScheduleNode(const Schedule &S, const RunOptions &Base,
     for (unsigned Rep = 0; Rep < S.Times && !Stop; ++Rep) {
       bool PassUpdated = false;
       for (const Schedule &Child : S.Children) {
-        PassUpdated |= runScheduleNode(Child, Base, Total, Clock, Stop);
+        PassUpdated |= runScheduleNode(Child, Base, Total, Due, Stop);
         if (Stop)
           break;
       }
@@ -622,15 +488,15 @@ bool Engine::runScheduleNode(const Schedule &S, const RunOptions &Base,
     for (size_t Pass = 0; Pass < MaxSaturatePasses && !Stop; ++Pass) {
       bool PassUpdated = false;
       for (const Schedule &Child : S.Children) {
-        PassUpdated |= runScheduleNode(Child, Base, Total, Clock, Stop);
+        PassUpdated |= runScheduleNode(Child, Base, Total, Due, Stop);
         if (Stop)
           break;
       }
       Updated |= PassUpdated;
       if (!PassUpdated && !Stop) {
         // A whole pass without updates (and no bans pending) IS the
-        // saturation proof; the last leaf's own report cannot see it
-        // because its single iteration only bootstraps the content hash.
+        // saturation proof for the whole body; a leaf's own verdict covers
+        // only its ruleset.
         Converged = true;
         break;
       }
@@ -642,11 +508,33 @@ bool Engine::runScheduleNode(const Schedule &S, const RunOptions &Base,
   return false;
 }
 
+RunReport Engine::run(const RunOptions &Options) {
+  return runSchedule(Schedule::makeRun(Options.Ruleset, Options.Iterations),
+                     Options);
+}
+
 RunReport Engine::runSchedule(const Schedule &S, const RunOptions &Options) {
-  RunReport Total;
   Timer Clock;
+  Deadline Due;
+  if (Options.TimeoutSeconds > 0) {
+    using SteadyClock = std::chrono::steady_clock;
+    SteadyClock::time_point Now = SteadyClock::now();
+    std::chrono::duration<double> Budget(Options.TimeoutSeconds);
+    // A budget past the clock's range cannot be represented: no deadline.
+    if (Budget < SteadyClock::time_point::max() - Now)
+      Due = Now + std::chrono::duration_cast<SteadyClock::duration>(Budget);
+  }
+  // (Re)create the execution contexts if rules were added since the last
+  // run (Rules may have reallocated, invalidating the Query references
+  // the executors hold; a size mismatch is the only way that happens —
+  // restore() clears them outright).
+  ensureVariantExecutors();
+  if (!Pool)
+    Pool = std::make_unique<ThreadPool>(NumThreads);
+
+  RunReport Total;
   bool Stop = false;
-  bool Updated = runScheduleNode(S, Options, Total, Clock, Stop);
+  bool Updated = runScheduleNode(S, Options, Total, Due, Stop);
   // A schedule that ran to completion without a final update has reached a
   // fixpoint of its body.
   if (!Stop && !Updated)
@@ -665,9 +553,6 @@ Engine::Snapshot Engine::snapshot() const {
   S.NumRulesets = RulesetNames.size();
   S.States = States;
   S.GlobalIteration = GlobalIteration;
-  S.LastContentHash = LastContentHash;
-  S.LastMutationStamp = LastMutationStamp;
-  S.HasContentHash = HasContentHash;
   return S;
 }
 
@@ -675,7 +560,7 @@ void Engine::restore(const Snapshot &S) {
   assert(S.NumRules <= Rules.size() && S.NumRules == S.States.size() &&
          "snapshot is from a different engine");
   // Executors reference Query objects inside Rules; drop them before the
-  // rules so the next run() rebuilds fresh contexts.
+  // rules so the next run rebuilds fresh contexts.
   VariantExecutors.clear();
   RuleParallelSafe.clear();
   Rules.resize(S.NumRules);
@@ -684,12 +569,4 @@ void Engine::restore(const Snapshot &S) {
     RulesetIds.erase(RulesetNames[Id - 1]);
   RulesetNames.resize(S.NumRulesets);
   GlobalIteration = S.GlobalIteration;
-  LastContentHash = S.LastContentHash;
-  LastMutationStamp = S.LastMutationStamp;
-  HasContentHash = S.HasContentHash;
-  // The database rollback paired with restore() resets the union counter,
-  // breaking the stamp monotonicity the schedule hash cache relies on — a
-  // post-rollback stamp can collide with a pre-rollback one over different
-  // content.
-  CachedSigValid = false;
 }

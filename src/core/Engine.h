@@ -12,12 +12,12 @@
 /// egg's default scheduler: rules that over-match are banned for
 /// exponentially growing spans).
 ///
-/// Rules are grouped into named *rulesets* (ruleset 0 is the default), a
-/// run() selects one ruleset, and runSchedule() interprets a Schedule tree
-/// (saturate / seq / repeat / run-with-until) over them. Per-rule
-/// semi-naïve delta bounds and BackOff bans live on the rule, not the run,
-/// so phased schedules interleave rulesets without re-deriving or dropping
-/// work.
+/// Rules are grouped into named *rulesets* (ruleset 0 is the default), and
+/// runSchedule() interprets a Schedule tree (saturate / seq / repeat /
+/// run-with-until) over them; its Run leaf is the only iteration loop, and
+/// run() is a one-leaf schedule. Per-rule semi-naïve delta bounds and
+/// BackOff bans live on the rule, not the run, so phased schedules
+/// interleave rulesets without re-deriving or dropping work.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +28,9 @@
 #include "core/EGraph.h"
 #include "core/Query.h"
 
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,7 +38,6 @@
 namespace egglog {
 
 class ThreadPool;
-class Timer;
 
 /// Knobs for one run of the engine.
 struct RunOptions {
@@ -54,8 +55,9 @@ struct RunOptions {
   uint64_t BackoffBanLength = 5;
   /// Stop when total live tuples exceed this bound (0 = unlimited).
   size_t NodeLimit = 0;
-  /// Stop after this many seconds (0 = unlimited). For runSchedule this is
-  /// a budget for the whole schedule, not per leaf.
+  /// Stop after this many seconds (0 = unlimited): one deadline for the
+  /// whole run or schedule, checked between match work items and after
+  /// every iteration, never mid-apply.
   double TimeoutSeconds = 0;
 };
 
@@ -99,8 +101,8 @@ struct RunReport {
 };
 
 /// Owns a rule set and drives iterations against an EGraph. Scheduler and
-/// semi-naïve bookkeeping persist across run() calls so incremental
-/// programs ((run 5) ... (run 5)) behave like one longer run.
+/// semi-naïve bookkeeping persist across runs so incremental programs
+/// ((run 5) ... (run 5)) behave like one longer run.
 class Engine {
 public:
   // Out of line (with the destructor) so the ThreadPool member can stay a
@@ -135,16 +137,18 @@ public:
     return RulesetNames[Id];
   }
 
-  /// Runs up to Options.Iterations iterations of Options.Ruleset; stops
-  /// early on saturation, node limit, or timeout.
+  /// Runs up to Options.Iterations iterations of Options.Ruleset: the
+  /// one-leaf schedule (run ruleset n).
   RunReport run(const RunOptions &Options);
 
-  /// Interprets a Schedule tree: leaves call run(), (saturate ...) loops
-  /// its children until a whole pass leaves the database unchanged (with
-  /// no BackOff bans pending), (repeat n ...) runs its children n times,
-  /// and a leaf's :until facts stop that leaf early. Options.Ruleset is
-  /// ignored (each leaf names its own); the other knobs apply to every
-  /// leaf, with TimeoutSeconds budgeting the whole schedule.
+  /// Interprets a Schedule tree. A Run leaf iterates its ruleset up to
+  /// Times times, checking its :until facts before every iteration, and
+  /// stops once an iteration leaves the live content hash and union count
+  /// unchanged with no BackOff bans pending (saturation); (saturate ...)
+  /// loops its children until a whole pass makes no progress, and
+  /// (repeat n ...) runs its children n times. Options.Ruleset is ignored
+  /// (each leaf names its own); the other knobs apply to every leaf, with
+  /// TimeoutSeconds one deadline for the whole schedule.
   RunReport runSchedule(const Schedule &S, const RunOptions &Options);
 
   EGraph &graph() { return Graph; }
@@ -168,23 +172,10 @@ public:
     size_t NumRulesets = 0;
     std::vector<RuleState> States;
     uint64_t GlobalIteration = 0;
-    uint64_t LastContentHash = 0;
-    uint64_t LastMutationStamp = 0;
-    bool HasContentHash = false;
   };
 
   Snapshot snapshot() const;
   void restore(const Snapshot &S);
-
-  /// Drops the memoized saturation-state hashes after the database content
-  /// was replaced out from under the engine (snapshot load). The caches
-  /// are keyed by mutationStamp(), a monotone counter sum that a wholesale
-  /// content swap can replay onto different content, so the stamp check
-  /// alone cannot be trusted across one.
-  void noteExternalMutation() {
-    HasContentHash = false;
-    CachedSigValid = false;
-  }
 
 private:
   EGraph &Graph;
@@ -208,8 +199,8 @@ private:
     std::unique_ptr<QueryExecutor> Exec;
   };
   /// Per rule, one Variant per body atom; slot 0's context doubles as the
-  /// full (non-incremental) search's. Rebuilt by run() whenever rules were
-  /// added (Rules may have reallocated).
+  /// full (non-incremental) search's. Rebuilt by runSchedule() whenever
+  /// rules were added (Rules may have reallocated).
   std::vector<std::vector<Variant>> VariantExecutors;
   /// Per rule: true if every primitive in its query is read-only (cannot
   /// intern values or canonicalize), so its joins may run on the pool;
@@ -218,46 +209,36 @@ private:
 
   /// (Re)creates VariantExecutors/RuleParallelSafe for the current rules.
   void ensureVariantExecutors();
-  /// Global iteration counter across run() calls (drives ban spans).
+  /// Global iteration counter across runs (drives ban spans).
   uint64_t GlobalIteration = 0;
-  /// Live-content hash at the last candidate saturation point (see
-  /// Engine.cpp); computed lazily, only when live counts stall. The
-  /// mutation stamp records which database state it was taken of, so
-  /// changes made outside the engine between run() calls invalidate it.
-  uint64_t LastContentHash = 0;
-  uint64_t LastMutationStamp = 0;
-  bool HasContentHash = false;
 
-  uint64_t mutationStamp() const;
+  /// The schedule-wide RunOptions::TimeoutSeconds deadline, fixed when
+  /// runSchedule starts; nullopt when unlimited.
+  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+  static bool expired(const Deadline &D) {
+    return D && std::chrono::steady_clock::now() > *D;
+  }
 
-  /// True if some rule of \p Ruleset is still banned by BackOff (pending
-  /// work exists even though the last pass changed nothing).
-  bool anyBanPending(RulesetId Ruleset) const;
+  /// One iteration of Options.Ruleset: match, apply, rebuild. Appends the
+  /// iteration's stats to \p Report and sets \p AnyBanned if a rule of the
+  /// ruleset was skipped or newly banned by BackOff (its matches are
+  /// pending). Returns false if the iteration stopped early: on the
+  /// deadline (setting Report.TimedOut), a governor trip, or a database
+  /// failure.
+  bool step(const RunOptions &Options, const Deadline &Due,
+            RunReport &Report, bool &AnyBanned);
 
-  /// Schedule-only BackOff fast-forward: when a leaf run changed nothing
-  /// because every matching rule of \p Ruleset is banned, advance the
-  /// global iteration clock to the earliest ban expiry instead of spinning
-  /// empty passes to tick it down one by one. Unreachable from plain run()
-  /// so single-ruleset benchmark trajectories are untouched.
+  /// BackOff fast-forward: when a leaf changed nothing because every
+  /// matching rule of \p Ruleset is banned, advance the ruleset's bans to
+  /// the earliest expiry instead of spinning empty iterations to tick them
+  /// down one by one (as egg's BackoffScheduler does).
   void fastForwardBans(RulesetId Ruleset);
-
-  /// Live-content hash at mutation stamp \p Stamp, memoized so the
-  /// schedule interpreter hashes each database state at most once (a
-  /// leaf's before-hash is usually the previous leaf's after-hash).
-  /// Sound because versions and unions are monotone, so equal stamps
-  /// imply identical content — except across a rollback, which resets the
-  /// union counter; restore(), paired with every rollback, therefore
-  /// invalidates the cache explicitly.
-  uint64_t contentHashAt(uint64_t Stamp);
-  uint64_t CachedSigHash = 0;
-  uint64_t CachedSigStamp = 0;
-  bool CachedSigValid = false;
 
   /// Recursive schedule interpreter; returns true if the node updated the
   /// database (or left BackOff bans pending). Sets \p Stop on timeout,
   /// node limit, or database failure.
   bool runScheduleNode(const Schedule &S, const RunOptions &Base,
-                       RunReport &Total, Timer &Clock, bool &Stop);
+                       RunReport &Total, const Deadline &Due, bool &Stop);
 };
 
 } // namespace egglog

@@ -565,18 +565,7 @@ bool Frontend::execRun(const SExpr &Form) {
   // Bare count: iterate to saturation with a generous safety cap.
   if (!HasCount)
     Leaf.Times = 1000;
-
-  if (Leaf.Ruleset == 0 && Leaf.Until.empty()) {
-    // The classic single-ruleset path; kept separate from the schedule
-    // interpreter so the engine's own saturation detection reports
-    // through LastRun exactly as before.
-    RunOptions Opts = Options;
-    Opts.Ruleset = 0;
-    Opts.Iterations = Leaf.Times;
-    LastRun = Eng.run(Opts);
-  } else {
-    LastRun = Eng.runSchedule(Leaf, Options);
-  }
+  LastRun = Eng.runSchedule(Leaf, Options);
   accumulatePhaseTotals();
   if (Graph.failed())
     return failGraph(Form);
@@ -863,10 +852,6 @@ bool Frontend::execLoad(const SExpr &Form) {
   EggError Err;
   if (!loadSnapshot(Graph, Form[1].Text, Err))
     return failKind(Form, Err.Kind, Err.Message);
-  // The engine's saturation-hash caches are keyed by monotone mutation
-  // counters that a wholesale content swap can replay onto different
-  // content; drop them explicitly.
-  Eng.noteExternalMutation();
   return true;
 }
 

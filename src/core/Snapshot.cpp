@@ -1053,7 +1053,7 @@ bool parseTables(Staging &St, SpanReader &R, EggError &Err) {
   for (uint32_t F = 0; F < Count; ++F) {
     const FunctionDecl &Decl = St.Functions[F].Decl;
     unsigned NumKeys = static_cast<unsigned>(Decl.ArgSorts.size());
-    auto Staged = std::make_unique<Table>(NumKeys);
+    auto Staged = std::make_unique<Table>(NumKeys, F);
     // Column classification mirrors EGraph::declareFunction so occurrence
     // indexing over the staged table matches a natively-built one.
     std::vector<unsigned> IdCols;
@@ -1069,14 +1069,13 @@ bool parseTables(Staging &St, SpanReader &R, EggError &Err) {
     unsigned Width = NumKeys + 1;
     if (Rows > R.remaining() / (4 + 12ull * Width))
       return sectionFail(Err, SecTables, "truncated payload");
-    std::vector<Value> Cells(Width);
+    std::vector<Value> Raw(Width), Cells(Width);
     for (uint64_t Row = 0; Row < Rows; ++Row) {
       uint32_t Stamp;
       if (!R.readU32(Stamp))
         return sectionFail(Err, SecTables, "truncated payload");
       if (Stamp > St.Meta.Timestamp)
         return sectionFail(Err, SecTables, "row stamp from the future");
-      uint64_t RowHash = hashMix(F + 0x9E3779B97F4A7C15ull);
       for (unsigned I = 0; I < Width; ++I) {
         Value V;
         if (!R.readValue(V))
@@ -1087,10 +1086,11 @@ bool parseTables(Staging &St, SpanReader &R, EggError &Err) {
           return sectionFail(Err, SecTables, "cell sort mismatch");
         if (!validRawValue(St, V, Why))
           return sectionFail(Err, SecTables, Why);
-        RowHash = hashCombine(RowHash, V.hash());
+        Raw[I] = V;
         Cells[I] = remapValue(St, V);
       }
-      ContentHash += RowHash;
+      ContentHash +=
+          Table::rowHash(F, Width, [&](unsigned I) { return Raw[I]; });
       size_t Before = Staged->liveCount();
       Staged->insert(Cells.data(), Cells[NumKeys], Stamp);
       if (Staged->liveCount() != Before + 1)

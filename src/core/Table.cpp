@@ -15,7 +15,8 @@
 
 using namespace egglog;
 
-Table::Table(unsigned NumKeys) : NumKeys(NumKeys) {
+Table::Table(unsigned NumKeys, FunctionId Func)
+    : NumKeys(NumKeys), Func(Func) {
   Columns.resize(rowWidth());
   Slots.assign(16, 0);
   SlotMask = Slots.size() - 1;
@@ -125,6 +126,7 @@ void Table::unlinkRow(size_t Row) {
   assert(Live[Row] && "killing a dead row");
   Live[Row] = false;
   --NumLive;
+  LiveHash -= contentHash(Row);
   ++Kills;
   KillLog.push_back(static_cast<uint32_t>(Row));
   // Locate the slot holding this row. A live row is always indexed, so the
@@ -160,6 +162,7 @@ size_t Table::appendRow(const Value *Keys, Value Out, uint32_t Stamp) {
   Stamps.push_back(Stamp);
   Live.push_back(true);
   ++NumLive;
+  LiveHash += contentHash(NewRow);
   ++Version;
   indexInsert(NewRow);
   return NewRow;
@@ -289,6 +292,7 @@ void Table::rollbackTo(const TxnMark &M) {
   Stamps.resize(M.Rows);
   Live.resize(M.Rows);
   NumLive = M.NumLive;
+  LiveHash = M.LiveHash;
   Kills = M.Kills;
   StampsSorted = M.StampsSorted;
   ++Version;

@@ -26,6 +26,7 @@
 #define EGGLOG_CORE_TABLE_H
 
 #include "core/Value.h"
+#include "support/Hashing.h"
 
 #include <cstdint>
 #include <iterator>
@@ -41,7 +42,9 @@ class IndexCache;
 /// bitmap, insertion timestamps, and an open-addressing index on keys.
 class Table {
 public:
-  explicit Table(unsigned NumKeys);
+  /// \p Func is the function whose rows this table stores; it seeds every
+  /// row's content hash so identical rows of different functions differ.
+  explicit Table(unsigned NumKeys, FunctionId Func = 0);
   ~Table();
   Table(const Table &) = delete;
   Table &operator=(const Table &) = delete;
@@ -90,6 +93,21 @@ public:
   /// scan the appended suffix (the extraction index) restart from scratch
   /// when this moves.
   uint64_t resets() const { return Resets; }
+
+  /// Order-independent hash of the live content: the sum of rowHash over
+  /// the live rows, kept up to date by every append, kill and rollback.
+  uint64_t liveHash() const { return LiveHash; }
+
+  /// Content hash of one row (keys then output) of function \p Func;
+  /// \p Cell(I) yields the row's I-th value. Timestamps are excluded, so
+  /// the same live rows hash equally however they were derived.
+  template <typename CellFn>
+  static uint64_t rowHash(FunctionId Func, unsigned Width, CellFn Cell) {
+    uint64_t Hash = hashMix(Func + 0x9E3779B97F4A7C15ull);
+    for (unsigned I = 0; I < Width; ++I)
+      Hash = hashCombine(Hash, Cell(I).hash());
+    return Hash;
+  }
 
   /// Live rows with stamp >= \p Bound (the semi-naïve "new" partition).
   size_t liveCountAtLeast(uint32_t Bound) const;
@@ -211,11 +229,12 @@ public:
     size_t KillLogSize = 0;
     size_t NumLive = 0;
     uint64_t Kills = 0;
+    uint64_t LiveHash = 0;
     bool StampsSorted = true;
   };
 
   TxnMark txnMark() const {
-    return TxnMark{Stamps.size(), KillLog.size(), NumLive, Kills,
+    return TxnMark{Stamps.size(), KillLog.size(), NumLive, Kills, LiveHash,
                    StampsSorted};
   }
 
@@ -229,12 +248,15 @@ public:
 
 private:
   unsigned NumKeys;
+  FunctionId Func;
   /// Column-major row storage: Columns[C][R] is the value of term position
   /// C in row R. rowWidth() arrays, allocated at construction.
   std::vector<std::vector<Value>> Columns;
   std::vector<uint32_t> Stamps;
   std::vector<bool> Live;
   size_t NumLive = 0;
+  /// See liveHash().
+  uint64_t LiveHash = 0;
   uint64_t Version = 0;
   uint64_t Kills = 0;
   uint64_t Resets = 0;
@@ -283,6 +305,11 @@ private:
   uint64_t hashKeys(const Value *Keys) const;
   /// hashKeys over the stored key columns of \p Row.
   uint64_t hashRow(size_t Row) const;
+  /// rowHash of stored row \p Row.
+  uint64_t contentHash(size_t Row) const {
+    return rowHash(Func, rowWidth(),
+                   [&](unsigned I) { return Columns[I][Row]; });
+  }
   bool keysEqual(size_t Row, const Value *Keys) const;
   /// Appends (Keys..., Out) as a fresh live row and links it into the hash
   /// index; shared by both insert() arms.

@@ -7,8 +7,9 @@
 ///
 /// \file
 /// The ResourceGovernor turns resource limits into bounded-latency stops.
-/// Legacy RunOptions limits (TimeoutSeconds, NodeLimit) stop the engine
-/// gracefully at iteration granularity; the governor's limits are hard: any
+/// The RunOptions limits (TimeoutSeconds, one deadline per schedule, and
+/// NodeLimit) stop a schedule's Run leaf gracefully at iteration
+/// granularity, never mid-apply; the governor's limits are hard: any
 /// trip raises an ErrKind::Limit (or Cancelled) error and the current
 /// command rolls back. Inner loops (match, apply, rebuild, extract) call a
 /// checkpoint every N rows, so the stop latency is bounded by the work in N

@@ -304,3 +304,97 @@ TEST(ScheduleTest, RunSchedulePreservesEngineApiUse) {
   Value Out;
   EXPECT_TRUE(F.evalGround("(out 4)", Out));
 }
+
+namespace {
+
+/// What one (run ...) command reported, and the database it left.
+struct RunTrace {
+  bool Saturated;
+  std::vector<size_t> Matches; ///< per iteration
+  uint64_t ContentHash;
+  bool operator==(const RunTrace &) const = default;
+};
+
+/// Runs a fixed command sequence with every rule in \p Ruleset (empty =
+/// the default ruleset) and records each run's trace.
+std::vector<RunTrace> traceRuns(const std::string &Ruleset, bool Backoff) {
+  Frontend F;
+  F.runOptions().UseBackoff = Backoff;
+  F.runOptions().BackoffMatchLimit = 6;
+  F.runOptions().BackoffBanLength = 2;
+  std::string Tag = Ruleset.empty() ? "" : " :ruleset " + Ruleset;
+  std::string Decls = Ruleset.empty() ? "" : "(ruleset " + Ruleset + ")";
+  Decls += R"(
+    (relation edge (i64 i64))
+    (relation path (i64 i64))
+    (function dist (i64 i64) i64 :merge (min old new))
+    (relation note (i64))
+    (datatype Math (Num i64) (Add Math Math))
+    (rule ((edge x y)) ((path x y) (set (dist x y) 1)))" + Tag + R"()
+    (rule ((path x y) (edge y z) (= d (dist x y)))
+          ((path x z) (set (dist x z) (+ d 1))))" + Tag + R"()
+    (rewrite (Add a b) (Add b a))" + Tag + R"()
+    (rewrite (Add (Num a) (Num b)) (Num (+ a b)))" + Tag + R"()
+  )";
+  EXPECT_TRUE(F.execute(Decls)) << F.error();
+  // A run count of 0 stands for a bare (run).
+  auto Run = [&](unsigned N) {
+    std::string Cmd = "(run";
+    if (!Ruleset.empty())
+      Cmd += " " + Ruleset;
+    if (N)
+      Cmd += " " + std::to_string(N);
+    return Cmd + ")";
+  };
+  const std::vector<std::string> Commands = {
+      "(edge 1 2) (edge 2 3) (define e (Add (Num 1) (Add (Num 2) (Num 3))))",
+      Run(1), Run(3), Run(0),
+      // Saturated, then touched only where no rule reads: nothing the
+      // rules can change.
+      "(note 1)", Run(1), "(note 2)", Run(3),
+      "(edge 3 4) (edge 4 1) (edge 1 5)",
+      Run(2), Run(0), Run(1)};
+  std::vector<RunTrace> Traces;
+  for (const std::string &Cmd : Commands) {
+    EXPECT_TRUE(F.execute(Cmd)) << Cmd << ": " << F.error();
+    if (Cmd.rfind("(run", 0) != 0)
+      continue;
+    RunTrace Trace{F.lastRun().Saturated, {}, F.graph().liveContentHash()};
+    for (const IterationStats &Stats : F.lastRun().Iterations)
+      Trace.Matches.push_back(Stats.Matches);
+    Traces.push_back(std::move(Trace));
+  }
+  return Traces;
+}
+
+} // namespace
+
+TEST(ScheduleTest, DefaultAndNamedRulesetRunsAgree) {
+  // (run n) and (run r n) are the same one-leaf schedule: the same rules
+  // in the default ruleset and in a named one must report the same
+  // saturation verdicts, iteration counts and per-iteration matches, and
+  // reach the same database, with and without BackOff.
+  std::vector<RunTrace> Unbanned;
+  for (bool Backoff : {false, true}) {
+    SCOPED_TRACE(Backoff ? "backoff" : "no backoff");
+    std::vector<RunTrace> Default = traceRuns("", Backoff);
+    // BackOff does ban rules in this program.
+    if (Backoff)
+      EXPECT_NE(Default, Unbanned);
+    else
+      Unbanned = Default;
+    std::vector<RunTrace> Named = traceRuns("r", Backoff);
+    ASSERT_EQ(Default.size(), Named.size());
+    for (size_t I = 0; I < Default.size(); ++I) {
+      EXPECT_EQ(Default[I].Saturated, Named[I].Saturated) << "run " << I;
+      EXPECT_EQ(Default[I].Matches, Named[I].Matches) << "run " << I;
+      EXPECT_EQ(Default[I].ContentHash, Named[I].ContentHash) << "run " << I;
+    }
+    // On a database its rules cannot change, one iteration proves
+    // saturation: no confirming iteration.
+    for (size_t I : {3u, 4u}) {
+      EXPECT_TRUE(Default[I].Saturated) << "run " << I;
+      EXPECT_EQ(Default[I].Matches.size(), 1u) << "run " << I;
+    }
+  }
+}

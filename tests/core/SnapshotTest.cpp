@@ -477,7 +477,6 @@ TEST(SnapshotTest, PointsToWarmStartReproducesColdFixpoint) {
 
   Frontend Warm;
   ASSERT_TRUE(loadSnapshot(Warm.graph(), Path, Err)) << Err.Message;
-  Warm.engine().noteExternalMutation();
   ASSERT_TRUE(Warm.execute(PointsToRules)) << Warm.error();
   ASSERT_TRUE(Warm.execute("(run 1000000)")) << Warm.error();
   EXPECT_EQ(Warm.graph().liveContentHash(), BaselineHash);

@@ -22,6 +22,10 @@
 // (extractCostsReference), over whatever history of runs, unions, pushes
 // and pops the program had.
 //
+// After every command (runs, pushes and pops included) both sides'
+// incrementally kept liveContentHash must equal a full sweep
+// (referenceContentHash).
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/Extract.h"
@@ -161,15 +165,21 @@ void checkSeed(uint32_t Seed) {
              programText(Program);
     };
     ASSERT_TRUE(E.execute(C.Text)) << E.error() << "\n" << Where();
-    if (!C.IsRun) {
+    if (C.IsRun) {
+      RulesetId Ruleset = 0;
+      ASSERT_TRUE(R.engine().lookupRuleset(C.Ruleset, Ruleset)) << Where();
+      referenceRun(R, Ruleset, C.Iterations);
+      ASSERT_FALSE(R.graph().failed())
+          << R.graph().errorMessage() << "\n" << Where();
+    } else {
       ASSERT_TRUE(R.execute(C.Text)) << R.error() << "\n" << Where();
-      continue;
     }
-    RulesetId Ruleset = 0;
-    ASSERT_TRUE(R.engine().lookupRuleset(C.Ruleset, Ruleset)) << Where();
-    referenceRun(R, Ruleset, C.Iterations);
-    ASSERT_FALSE(R.graph().failed())
-        << R.graph().errorMessage() << "\n" << Where();
+    ASSERT_EQ(E.graph().liveContentHash(), referenceContentHash(E.graph()))
+        << "engine content hash\n" << Where();
+    ASSERT_EQ(R.graph().liveContentHash(), referenceContentHash(R.graph()))
+        << "reference content hash\n" << Where();
+    if (!C.IsRun)
+      continue;
     std::string Diff = compare(E, R);
     ASSERT_TRUE(Diff.empty()) << Diff << "\n" << Where();
     std::string Costs = extractCostMismatch(E.graph());
