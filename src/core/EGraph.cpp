@@ -37,12 +37,8 @@ EGraph::EGraph() { registerBuiltinPrimitives(Prims); }
 EGraph::~EGraph() = default;
 
 ExtractIndex &EGraph::extractIndex() {
-  if (!ExtractIdx) {
-    // The index folds merges from the union-find's log; recording starts
-    // here (earlier merges are covered by the initial scratch rebuild).
-    UF.enableMergeLog();
+  if (!ExtractIdx)
     ExtractIdx = std::make_unique<ExtractIndex>();
-  }
   return *ExtractIdx;
 }
 
@@ -277,8 +273,8 @@ bool EGraph::setValue(FunctionId Func, const Value *Args, Value Out) {
     // A merge expression over an id-sort output can reassign the key to a
     // different class without a union: the old association vanishes and a
     // class cost may rise, which the decrease-only extraction refresh
-    // cannot track. (The default id merge below unions instead, which the
-    // merge log covers.)
+    // cannot track. (The default id merge below unions instead, which
+    // rebuild hands to the index.)
     if (ExtractIdx && Merged != Old && SortsTable.isIdSort(Info.Decl.OutSort))
       ExtractIdx->invalidate();
   } else if (SortsTable.isIdSort(Info.Decl.OutSort)) {
@@ -393,12 +389,15 @@ unsigned EGraph::rebuild() {
   // their canonical status, rewrites exactly the rows reaching them through
   // the occurrence indexes, and loops while those rewrites merge further
   // classes. Terminates because canonical ids only ever shrink (min-id
-  // representatives).
+  // representatives). Each drained pass goes to the extraction index too,
+  // which folds the losers on its next refresh.
   while (!Failed) {
     UF.takeDirty(Dirty);
     if (Dirty.empty())
       break;
     ++Passes;
+    if (ExtractIdx)
+      ExtractIdx->noteMerged(Dirty);
     for (size_t F = 0; F < Functions.size(); ++F) {
       bool TableRewritten = false;
       bool Ok = rebuildTable(static_cast<FunctionId>(F), Dirty, Rows, Buffer,

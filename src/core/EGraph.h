@@ -194,8 +194,9 @@ public:
   /// and rewrites only the rows reached through the tables' occurrence
   /// indexes, falling back to a per-table sweep when the affected set is a
   /// large fraction of the table (or when container columns hide ids from
-  /// the occurrence index). Returns the number of worklist passes (0 when
-  /// nothing was dirty).
+  /// the occurrence index). Each drained pass is also handed to the
+  /// extraction index (ExtractIndex::noteMerged). Returns the number of
+  /// worklist passes (0 when nothing was dirty).
   unsigned rebuild();
 
   /// True if unions have happened since the last rebuild.

@@ -8,6 +8,7 @@
 
 #include "core/Query.h"
 #include "support/FailPoints.h"
+#include "support/Governor.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
@@ -515,15 +516,7 @@ RunReport Engine::run(const RunOptions &Options) {
 
 RunReport Engine::runSchedule(const Schedule &S, const RunOptions &Options) {
   Timer Clock;
-  Deadline Due;
-  if (Options.TimeoutSeconds > 0) {
-    using SteadyClock = std::chrono::steady_clock;
-    SteadyClock::time_point Now = SteadyClock::now();
-    std::chrono::duration<double> Budget(Options.TimeoutSeconds);
-    // A budget past the clock's range cannot be represented: no deadline.
-    if (Budget < SteadyClock::time_point::max() - Now)
-      Due = Now + std::chrono::duration_cast<SteadyClock::duration>(Budget);
-  }
+  Deadline Due = deadlineAfter(Options.TimeoutSeconds);
   // (Re)create the execution contexts if rules were added since the last
   // run (Rules may have reallocated, invalidating the Query references
   // the executors hold; a size mismatch is the only way that happens —

@@ -74,35 +74,27 @@ void ExtractIndex::ensureIdCapacity(size_t Ids) {
   Best.resize(Ids);
   UseHead.resize(Ids, -1);
   UseTail.resize(Ids, -1);
-  ProdHead.resize(Ids, -1);
-  ProdTail.resize(Ids, -1);
   QueuePending.resize(Ids, 0);
 }
 
-void ExtractIndex::pushNode(std::vector<int32_t> &Head,
-                            std::vector<int32_t> &Tail, uint64_t Id,
-                            uint32_t Func, uint32_t Row) {
+void ExtractIndex::pushUse(uint64_t Id, uint32_t Func, uint32_t Row) {
   int32_t Node = static_cast<int32_t>(Pool.size());
-  Pool.push_back(ChainNode{Head[Id], Func, Row});
-  Head[Id] = Node;
-  if (Tail[Id] < 0)
-    Tail[Id] = Node;
+  Pool.push_back(ChainNode{UseHead[Id], Func, Row});
+  UseHead[Id] = Node;
+  if (UseTail[Id] < 0)
+    UseTail[Id] = Node;
 }
 
-void ExtractIndex::foldChain(std::vector<int32_t> &Head,
-                             std::vector<int32_t> &Tail, uint64_t Loser,
-                             uint64_t Winner) {
-  if (Head[Loser] < 0)
+void ExtractIndex::foldUses(uint64_t Loser, uint64_t Winner) {
+  if (UseHead[Loser] < 0)
     return;
-  if (Head[Winner] < 0) {
-    Head[Winner] = Head[Loser];
-    Tail[Winner] = Tail[Loser];
-  } else {
-    Pool[Tail[Winner]].Next = Head[Loser];
-    Tail[Winner] = Tail[Loser];
-  }
-  Head[Loser] = -1;
-  Tail[Loser] = -1;
+  if (UseHead[Winner] < 0)
+    UseHead[Winner] = UseHead[Loser];
+  else
+    Pool[UseTail[Winner]].Next = UseHead[Loser];
+  UseTail[Winner] = UseTail[Loser];
+  UseHead[Loser] = -1;
+  UseTail[Loser] = -1;
 }
 
 void ExtractIndex::consider(EGraph &Graph, uint32_t Func, uint32_t Row) {
@@ -128,9 +120,7 @@ void ExtractIndex::consider(EGraph &Graph, uint32_t Func, uint32_t Row) {
 }
 
 bool ExtractIndex::foldMerges(EGraph &Graph) {
-  const std::vector<uint64_t> &Log = Graph.unionFind().mergeLog();
-  for (size_t I = LogPos; I < Log.size(); ++I) {
-    uint64_t Loser = Log[I];
+  for (uint64_t Loser : Merged) {
     uint64_t Winner = Graph.unionFind().find(Loser);
     Entry &L = Best[Loser];
     Entry &W = Best[Winner];
@@ -144,8 +134,7 @@ bool ExtractIndex::foldMerges(EGraph &Graph) {
     // a from-scratch rebuild, whose adoptions are provably acyclic.
     if (L.Cost == W.Cost && W.Cost != Infinity)
       return false;
-    foldChain(UseHead, UseTail, Loser, Winner);
-    foldChain(ProdHead, ProdTail, Loser, Winner);
+    foldUses(Loser, Winner);
     if (L.Cost < W.Cost)
       W = L;
     L = Entry{};
@@ -157,7 +146,7 @@ bool ExtractIndex::foldMerges(EGraph &Graph) {
       enqueue(Winner);
     ++S.MergesFolded;
   }
-  LogPos = Log.size();
+  Merged.clear();
   return true;
 }
 
@@ -177,16 +166,12 @@ bool ExtractIndex::scanSuffix(EGraph &Graph, size_t Func) {
     for (unsigned I = 0; I < NumKeys; ++I) {
       Value Key = T.cell(Row, I);
       if (Graph.sorts().isIdSort(Key.Sort))
-        pushNode(UseHead, UseTail, UF.find(Key.Bits), F,
-                 static_cast<uint32_t>(Row));
+        pushUse(UF.find(Key.Bits), F, static_cast<uint32_t>(Row));
     }
-    pushNode(ProdHead, ProdTail, UF.find(T.output(Row).Bits), F,
-             static_cast<uint32_t>(Row));
     consider(Graph, F, static_cast<uint32_t>(Row));
   }
   St.Scanned = Rows;
   St.Version = T.version();
-  St.Resets = T.resets();
   return true;
 }
 
@@ -207,17 +192,14 @@ bool ExtractIndex::drainQueue(EGraph &Graph) {
 void ExtractIndex::rebuildFromScratch(EGraph &Graph) {
   ++S.FullRebuilds;
   Valid = false;
-  TermMemo.clear();
+  Merged.clear();
   Pool.clear();
   Best.clear();
   UseHead.clear();
   UseTail.clear();
-  ProdHead.clear();
-  ProdTail.clear();
   Queue.clear();
   QueuePending.clear();
   Tables.assign(Graph.numFunctions(), TableState{});
-  LogPos = Graph.unionFind().mergeLog().size();
   ensureIdCapacity(Graph.unionFind().size());
   for (size_t F = 0; F < Tables.size(); ++F)
     if (participates(Graph, F))
@@ -237,35 +219,30 @@ void ExtractIndex::refresh(EGraph &Graph) {
   if (Graph.failed())
     return; // entry points bail out on a failed graph
 
-  bool Scratch = !Valid || Graph.numFunctions() < Tables.size();
-  if (!Scratch) {
-    // A Table::rollbackTo() that bypassed EGraph::txnRollback's invalidate
-    // hook (resets moved), or any other shrink: the append-only assumption
-    // the suffix scan relies on is gone.
-    for (size_t F = 0; F < Tables.size() && !Scratch; ++F) {
-      const Table &T = *Graph.function(F).Storage;
-      if (participates(Graph, F) &&
-          (T.resets() != Tables[F].Resets || T.rowCount() < Tables[F].Scanned))
-        Scratch = true;
-    }
-  }
-  if (Scratch) {
+  if (!Valid) {
     rebuildFromScratch(Graph);
     return;
   }
 
+  // While the index is valid, tables only grow: every truncation,
+  // resurrection and dropped declaration goes through
+  // EGraph::txnRollback, which invalidates the index first.
+  assert(Graph.numFunctions() >= Tables.size() &&
+         "function dropped under a valid extraction index");
   Tables.resize(Graph.numFunctions());
-  bool Dirty = Graph.unionFind().mergeLog().size() != LogPos;
-  for (size_t F = 0; F < Tables.size() && !Dirty; ++F)
-    if (participates(Graph, F) &&
-        Graph.function(F).Storage->version() != Tables[F].Version)
+  bool Dirty = !Merged.empty();
+  for (size_t F = 0; F < Tables.size(); ++F) {
+    const Table &T = *Graph.function(F).Storage;
+    assert(T.rowCount() >= Tables[F].Scanned &&
+           "table shrank under a valid extraction index");
+    if (participates(Graph, F) && T.version() != Tables[F].Version)
       Dirty = true;
+  }
   if (!Dirty) {
     ++S.WarmHits;
     return;
   }
 
-  TermMemo.clear();
   ensureIdCapacity(Graph.unionFind().size());
   if (!foldMerges(Graph)) {
     // A tied-cost fold: the partially folded state is discarded wholesale
@@ -299,19 +276,6 @@ const ExtractIndex::Entry *ExtractIndex::best(const EGraph &Graph,
   if (Root >= Best.size() || Best[Root].Cost == Infinity)
     return nullptr;
   return &Best[Root];
-}
-
-void ExtractIndex::producers(
-    const EGraph &Graph, Value V,
-    std::vector<std::pair<FunctionId, uint32_t>> &Out) const {
-  if (!Graph.sorts().isIdSort(V.Sort))
-    return;
-  uint64_t Root = Graph.unionFind().find(V.Bits);
-  if (Root >= ProdHead.size())
-    return;
-  for (int32_t N = ProdHead[Root]; N >= 0; N = Pool[N].Next)
-    if (Graph.function(Pool[N].Func).Storage->isLive(Pool[N].Row))
-      Out.emplace_back(Pool[N].Func, Pool[N].Row);
 }
 
 //===----------------------------------------------------------------------===
@@ -449,9 +413,6 @@ std::optional<ExtractedTerm> egglog::extractTerm(EGraph &Graph, Value V) {
   Idx.refresh(Graph);
   if (Graph.failed())
     return std::nullopt;
-  uint64_t Root = Graph.unionFind().find(V.Bits);
-  if (const ExtractedTerm *Memo = Idx.memoized(Root))
-    return *Memo;
   const ExtractIndex::Entry *E = Idx.best(Graph, V);
   if (!E)
     return std::nullopt;
@@ -460,7 +421,6 @@ std::optional<ExtractedTerm> egglog::extractTerm(EGraph &Graph, Value V) {
   Out.DagCost = Idx.dagCostFromRow(Graph, E->Func, E->Row);
   std::vector<RenderItem> Stack;
   renderValue(Graph, Idx, V, Stack, Out.Text);
-  Idx.memoize(Root, Out);
   return Out;
 }
 
@@ -496,24 +456,32 @@ std::vector<ExtractedTerm> egglog::extractVariants(EGraph &Graph, Value V,
   if (Graph.failed())
     return Variants;
 
-  // Every live entry producing this class, via the producer chains (no
-  // whole-database sweep), completed with cheapest-cost children.
+  // Every live row producing into this class: only functions of V's sort
+  // can, so scan their live rows for the class root. Each is completed with
+  // cheapest-cost children.
   struct Candidate {
     int64_t Cost;
     FunctionId Func;
     uint32_t Row;
   };
-  std::vector<std::pair<FunctionId, uint32_t>> Rows;
-  Idx.producers(Graph, V, Rows);
+  const UnionFind &UF = Graph.unionFind();
+  uint64_t Root = UF.find(V.Bits);
   std::vector<Candidate> Candidates;
-  Candidates.reserve(Rows.size());
-  for (auto [Func, Row] : Rows) {
-    const FunctionInfo &Info = Graph.function(Func);
-    int64_t Total = Info.Decl.Cost;
-    for (unsigned I = 0; I < Info.numKeys() && Total != Infinity; ++I)
-      Total = saturatingAdd(Total, Idx.costOf(Graph, Info.Storage->cell(Row, I)));
-    if (Total != Infinity)
-      Candidates.push_back(Candidate{Total, Func, Row});
+  for (size_t F = 0; F < Graph.numFunctions(); ++F) {
+    const FunctionInfo &Info = Graph.function(F);
+    if (Info.Decl.OutSort != V.Sort)
+      continue;
+    const Table &T = *Info.Storage;
+    for (size_t Row = 0; Row < T.rowCount(); ++Row) {
+      if (!T.isLive(Row) || UF.find(T.output(Row).Bits) != Root)
+        continue;
+      int64_t Total = Info.Decl.Cost;
+      for (unsigned I = 0; I < Info.numKeys() && Total != Infinity; ++I)
+        Total = saturatingAdd(Total, Idx.costOf(Graph, T.cell(Row, I)));
+      if (Total != Infinity)
+        Candidates.push_back(Candidate{Total, static_cast<FunctionId>(F),
+                                       static_cast<uint32_t>(Row)});
+    }
   }
   // Cheapest first; (Func, Row) tiebreak keeps the order deterministic so
   // repeated calls with growing MaxVariants return consistent prefixes.

@@ -11,17 +11,19 @@
 /// fixpoint over all function entries whose output is an id sort; base
 /// constants cost 1.
 ///
-/// The fixpoint no longer runs from scratch per call: the EGraph owns a
-/// persistent ExtractIndex — a cost/best-row table over union-find ids plus
-/// reverse use/producer chains — that validates itself against the tables'
-/// version() stamps and the union-find merge log. Repeated extraction over
-/// an unchanged database does zero row sweeps; after inserts it scans only
-/// the appended row suffix; after merges it folds the logged losing roots
-/// and propagates cost decreases through the use chains (costs under
-/// inserts and unions only ever decrease, so decrease-propagation reaches
-/// the same fixpoint as a from-scratch run). Genuine deletions (the delete
-/// action, pop) invalidate the index, which then rebuilds from scratch on
-/// the next refresh. See DESIGN.md "Extraction".
+/// The EGraph owns a persistent ExtractIndex: a cost/best-row table over
+/// union-find ids plus reverse use chains (id -> rows that take it as a
+/// key). It validates itself against the tables' version() stamps and the
+/// losing roots that EGraph::rebuild() hands over from its worklist.
+/// Repeated extraction over an unchanged database does zero row sweeps;
+/// after inserts it scans only the appended row suffix; after merges it
+/// folds the handed-over losers and propagates cost decreases through the
+/// use chains (costs under inserts and unions only ever decrease, so
+/// decrease-propagation reaches the same fixpoint as a from-scratch run).
+/// Genuine deletions (the delete action, rollback, pop) invalidate the
+/// index, which then rebuilds from scratch on the next refresh. Terms are
+/// rendered on every call; variants find their rows by scanning the
+/// tables. See DESIGN.md "Extraction".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +35,7 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 namespace egglog {
 
@@ -73,13 +75,21 @@ public:
     uint64_t Incrementals = 0;  ///< refreshes that folded/scanned a delta
     uint64_t FullRebuilds = 0;  ///< from-scratch cost fixpoints
     uint64_t RowsConsidered = 0; ///< cost relaxations attempted (row visits)
-    uint64_t MergesFolded = 0;  ///< merge-log entries folded
+    uint64_t MergesFolded = 0;  ///< handed-over losing roots folded
   };
 
   /// Brings the index up to date with the database. Rebuilds the graph
   /// first if unions are pending (extraction is specified over a rebuilt
   /// database). Cheap when nothing changed.
   void refresh(EGraph &Graph);
+
+  /// Records one drained rebuild pass's losing roots (EGraph::rebuild()
+  /// calls this in merge order); the next refresh folds them. Ignored while
+  /// the index is invalid, since the scratch rebuild covers every merge.
+  void noteMerged(const std::vector<uint64_t> &Losers) {
+    if (Valid)
+      Merged.insert(Merged.end(), Losers.begin(), Losers.end());
+  }
 
   /// Marks the cached state unusable; the next refresh recomputes from
   /// scratch. Called by the EGraph on txnRollback() (a failed command or a
@@ -106,11 +116,6 @@ public:
     return &Best[Root];
   }
 
-  /// Appends every live row whose output lies in \p V's class (the variant
-  /// candidates of §6.2) to \p Out.
-  void producers(const EGraph &Graph, Value V,
-                 std::vector<std::pair<FunctionId, uint32_t>> &Out) const;
-
   /// DAG cost of the term formed by \p Func(\p Row) with best-cost
   /// children: each distinct reachable class pays its chosen row's declared
   /// cost (plus 1 per base-value child) exactly once, and the seed row
@@ -121,23 +126,8 @@ public:
   int64_t dagCostFromRow(const EGraph &Graph, FunctionId Func,
                          uint32_t Row) const;
 
-  /// Rendered-term memo: extraction of a class over an unchanged database
-  /// is a pure function, so the fully built ExtractedTerm is cached per
-  /// canonical root; every non-warm refresh clears the memo.
-  const ExtractedTerm *memoized(uint64_t Root) const {
-    auto It = TermMemo.find(Root);
-    return It == TermMemo.end() ? nullptr : &It->second;
-  }
-  void memoize(uint64_t Root, const ExtractedTerm &Term) {
-    // Crude memory bound: rendered terms can be large, and the memo only
-    // needs to cover the roots a driver loops over between mutations.
-    if (TermMemo.size() >= 1024)
-      TermMemo.clear();
-    TermMemo.emplace(Root, Term);
-  }
-
 private:
-  /// Pooled singly-linked chain node for the reverse indexes.
+  /// Pooled singly-linked chain node for the use chains.
   struct ChainNode {
     int32_t Next = -1;
     uint32_t Func = 0;
@@ -145,26 +135,21 @@ private:
   };
   /// Per-function bookkeeping: rows [0, Scanned) are reflected in the
   /// chains and have been cost-considered; Version is the table stamp at
-  /// the end of the last refresh; Resets mirrors Table::resets() so a
-  /// direct Table::rollbackTo() (which breaks append-only) forces scratch.
+  /// the end of the last refresh.
   struct TableState {
     uint64_t Version = 0;
-    uint64_t Resets = 0;
     size_t Scanned = 0;
   };
 
   bool Valid = false;
   Stats S;
-  /// Terms rendered against the current cost state (cleared by every
-  /// non-warm refresh).
-  std::unordered_map<uint64_t, ExtractedTerm> TermMemo;
-  /// Offset into UnionFind::mergeLog() up to which merges are folded.
-  size_t LogPos = 0;
+  /// Losing roots handed over by rebuild since the last refresh, in merge
+  /// order.
+  std::vector<uint64_t> Merged;
   std::vector<TableState> Tables;
   /// Dense per-id state (indexed by union-find id; grown on refresh).
   std::vector<Entry> Best;
-  std::vector<int32_t> UseHead, UseTail;   ///< id -> rows using it as a key
-  std::vector<int32_t> ProdHead, ProdTail; ///< id -> rows producing into it
+  std::vector<int32_t> UseHead, UseTail; ///< id -> rows using it as a key
   std::vector<ChainNode> Pool;
   /// Classes whose cost decreased and whose users need reconsidering.
   /// QueuePending dedups membership so a class improved t times before the
@@ -184,15 +169,13 @@ private:
       Queue.push_back(Class);
     }
   }
-  void pushNode(std::vector<int32_t> &Head, std::vector<int32_t> &Tail,
-                uint64_t Id, uint32_t Func, uint32_t Row);
-  void foldChain(std::vector<int32_t> &Head, std::vector<int32_t> &Tail,
-                 uint64_t Loser, uint64_t Winner);
+  void pushUse(uint64_t Id, uint32_t Func, uint32_t Row);
+  void foldUses(uint64_t Loser, uint64_t Winner);
   void consider(EGraph &Graph, uint32_t Func, uint32_t Row);
-  /// Folds the merge-log suffix into the winners' entries and chains.
-  /// Returns false on a tied-cost fold, which could make a best row
-  /// reference its own merged class (the caller must rebuild from
-  /// scratch; see the comment in the implementation).
+  /// Folds the handed-over losers into the winners' entries and use chains,
+  /// then clears the list. Returns false on a tied-cost fold, which could
+  /// make a best row reference its own merged class (the caller must
+  /// rebuild from scratch; see the comment in the implementation).
   bool foldMerges(EGraph &Graph);
   /// Row-proportional phases run under governor checkpoints; each returns
   /// false when the governor tripped (or a fault was injected) mid-scan, in
@@ -226,7 +209,8 @@ std::optional<int64_t> extractCost(EGraph &Graph, Value V);
 /// and keeps the most accurate. Repeated calls reuse the warm index, so
 /// asking for a larger count later repeats no cost-fixpoint work (variants
 /// are re-rendered; order is deterministic, so the earlier result is a
-/// prefix of the later one).
+/// prefix of the later one). The candidate rows come from a scan of the
+/// live rows of every function whose output sort is V's sort.
 std::vector<ExtractedTerm> extractVariants(EGraph &Graph, Value V,
                                            size_t MaxVariants);
 

@@ -119,7 +119,6 @@ public:
   /// The lint drivers (egglog_lint, egglog_run --lint) use this to walk a
   /// whole program cheaply before — or instead of — executing it.
   void setAnalysisMode(bool Enabled) { AnalysisMode = Enabled; }
-  bool analysisMode() const { return AnalysisMode; }
 
   /// Labels subsequently executed forms with a source unit (file path);
   /// rules and declarations record it so multi-file diagnostics point into

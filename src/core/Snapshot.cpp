@@ -231,7 +231,7 @@ std::vector<uint8_t> serializeDatabase(const EGraph &G) {
     S.putU32(G.timestamp());
     S.putU8(G.needsRebuild() ? 1 : 0);
     S.putU64(UF.unionCount());
-    S.putU64(UF.mergeLog().size());
+    S.putU64(0); // reserved slot (SnapMeta::Reserved)
     S.putU64(G.liveContentHash());
     S.putU64(G.liveTupleCount());
     appendSection(File, SecMeta, S);
@@ -445,7 +445,9 @@ struct SnapMeta {
   uint32_t Timestamp = 0;
   bool UnionsDirty = false;
   uint64_t UnionCount = 0;
-  uint64_t MergeLogLen = 0;
+  /// Written as 0. Snapshots of older writers hold a count bounded by
+  /// UnionCount here, so the loader keeps that bound and the version.
+  uint64_t Reserved = 0;
   uint64_t ContentHash = 0;
   uint64_t LiveTuples = 0;
 };
@@ -582,14 +584,14 @@ bool sectionFail(EggError &Err, uint32_t Sec, const std::string &Why) {
 bool parseMeta(Staging &St, SpanReader &R, EggError &Err) {
   uint8_t Dirty;
   if (!R.readU32(St.Meta.Timestamp) || !R.readU8(Dirty) ||
-      !R.readU64(St.Meta.UnionCount) || !R.readU64(St.Meta.MergeLogLen) ||
+      !R.readU64(St.Meta.UnionCount) || !R.readU64(St.Meta.Reserved) ||
       !R.readU64(St.Meta.ContentHash) || !R.readU64(St.Meta.LiveTuples))
     return sectionFail(Err, SecMeta, "truncated payload");
   if (Dirty > 1)
     return sectionFail(Err, SecMeta, "corrupt rebuild flag");
   St.Meta.UnionsDirty = Dirty == 1;
-  if (St.Meta.MergeLogLen > St.Meta.UnionCount)
-    return sectionFail(Err, SecMeta, "merge log longer than union count");
+  if (St.Meta.Reserved > St.Meta.UnionCount)
+    return sectionFail(Err, SecMeta, "reserved slot exceeds union count");
   if (!R.done())
     return sectionFail(Err, SecMeta, "trailing bytes");
   return true;

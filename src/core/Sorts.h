@@ -99,9 +99,6 @@ public:
   /// True for sorts whose values are uninterpreted ids (unifiable).
   bool isIdSort(SortId Id) const { return kind(Id) == SortKind::User; }
 
-  /// True for container sorts whose payload needs deep canonicalization.
-  bool isContainerSort(SortId Id) const { return kind(Id) == SortKind::Set; }
-
   size_t size() const { return Infos.size(); }
 
   /// Drops every sort with id >= \p Count (pop of a push/pop context; sorts

@@ -296,7 +296,6 @@ void Table::rollbackTo(const TxnMark &M) {
   Kills = M.Kills;
   StampsSorted = M.StampsSorted;
   ++Version;
-  ++Resets;
 
   // Rebuild the key index from the surviving live rows and drop
   // incremental consumers (resurrection breaks their monotone-death

@@ -88,12 +88,6 @@ public:
   /// index refresh skip the dead-row sweep when nothing died.
   uint64_t killCount() const { return Kills; }
 
-  /// Number of rollbacks that truncated or resurrected rows. Those are the
-  /// only mutations that break the append-only contract, so consumers that
-  /// scan the appended suffix (the extraction index) restart from scratch
-  /// when this moves.
-  uint64_t resets() const { return Resets; }
-
   /// Order-independent hash of the live content: the sum of rowHash over
   /// the live rows, kept up to date by every append, kill and rollback.
   uint64_t liveHash() const { return LiveHash; }
@@ -240,7 +234,9 @@ public:
 
   /// Rolls the table back to \p M. The row data, key index and cached
   /// column indexes stay warm when nothing was appended or killed since
-  /// the mark.
+  /// the mark. Truncation and resurrection break the append-only contract
+  /// that suffix scanners rely on; EGraph::txnRollback, the only caller
+  /// outside tests, invalidates the extraction index alongside.
   void rollbackTo(const TxnMark &M);
 
   /// Approximate bytes held by this table (for the governor's ceiling).
@@ -259,7 +255,6 @@ private:
   uint64_t LiveHash = 0;
   uint64_t Version = 0;
   uint64_t Kills = 0;
-  uint64_t Resets = 0;
   /// True while Stamps is non-decreasing in append order (always the case
   /// under the engine's monotonic timestamp); enables a binary search in
   /// liveCountAtLeast.

@@ -78,25 +78,16 @@ public:
     ++UnionCount;
     // The losing root is exactly the id that just stopped being canonical:
     // every database row that mentions it is now stale. Rebuilding drains
-    // this list instead of sweeping every table (§5.1). An id can lose at
-    // most once (a non-root is never passed to the link above), so the list
-    // never holds duplicates.
+    // this list instead of sweeping every table (§5.1), and hands each
+    // drained pass on to the extraction index. An id can lose at most once
+    // (a non-root is never passed to the link above), so the list never
+    // holds duplicates.
     Dirty.push_back(RootB);
-    // The merge log is the same sequence but never drained: incremental
-    // consumers (the extraction index) remember an offset into it and fold
-    // the suffix on their next refresh, long after rebuild() has consumed
-    // the dirty list. Opt-in (8 bytes per union, forever), so union-heavy
-    // workloads that never extract pay nothing.
-    if (LogMerges)
-      MergeLog.push_back(RootB);
     return RootA;
   }
 
   /// Total number of effective (class-merging) unions performed.
   uint64_t unionCount() const { return UnionCount; }
-
-  /// True if some id lost its canonical status since the last takeDirty().
-  bool hasDirty() const { return !Dirty.empty(); }
 
   /// Moves the accumulated losing roots into \p Out (clearing the internal
   /// list). Unions performed while the caller processes \p Out accumulate
@@ -106,15 +97,6 @@ public:
     Out.swap(Dirty);
   }
 
-  /// Append-only log of every losing root in merge order (never drained;
-  /// truncated only by txnRollback). Incremental readers keep an offset.
-  const std::vector<uint64_t> &mergeLog() const { return MergeLog; }
-
-  /// Starts recording merges (idempotent). Called when the first consumer
-  /// appears; consumers must treat only post-enable entries as complete,
-  /// which the extraction index does by starting from a scratch rebuild.
-  void enableMergeLog() { LogMerges = true; }
-
   /// The raw parent array (compression state included) and the pending
   /// dirty list, for the snapshot writer.
   const std::vector<uint64_t> &parents() const { return Parents; }
@@ -123,8 +105,7 @@ public:
   /// Wholesale-replaces the relation with externally staged state (the
   /// snapshot loader's point of no return). noexcept by construction —
   /// vector moves only — so a caller can sequence it after the last
-  /// fallible step and before txnCommit with no failure window. The merge
-  /// log is cleared (its consumers are invalidated alongside). The open
+  /// fallible step and before txnCommit with no failure window. The open
   /// write journal now describes an array that no longer exists, so it is
   /// poisoned: safe for the commit the loader goes on to, and asserted
   /// against by a rollback.
@@ -133,7 +114,6 @@ public:
     Parents = std::move(NewParents);
     Dirty = std::move(NewDirty);
     UnionCount = NewUnionCount;
-    MergeLog.clear();
     if (OpenMarks > 0) {
       UndoLog.clear();
       Poisoned = true;
@@ -149,7 +129,6 @@ public:
   /// its mark in reverse.
   struct TxnMark {
     size_t NumIds = 0;
-    size_t MergeLogSize = 0;
     size_t UndoLogSize = 0;
     uint64_t UnionCount = 0;
     std::vector<uint64_t> Dirty;
@@ -158,8 +137,7 @@ public:
   TxnMark txnBegin() {
     if (OpenMarks++ == 0)
       Poisoned = false;
-    return TxnMark{Parents.size(), MergeLog.size(), UndoLog.size(),
-                   UnionCount, Dirty};
+    return TxnMark{Parents.size(), UndoLog.size(), UnionCount, Dirty};
   }
 
   /// Closes the innermost mark, keeping every write. Its journal entries
@@ -184,7 +162,6 @@ public:
     Parents.resize(M.NumIds);
     Dirty = M.Dirty;
     UnionCount = M.UnionCount;
-    MergeLog.resize(M.MergeLogSize);
     --OpenMarks;
   }
 
@@ -192,7 +169,6 @@ public:
   size_t approxBytes() const {
     return Parents.capacity() * sizeof(uint64_t) +
            Dirty.capacity() * sizeof(uint64_t) +
-           MergeLog.capacity() * sizeof(uint64_t) +
            UndoLog.capacity() * sizeof(UndoEntry);
   }
 
@@ -203,15 +179,13 @@ private:
   };
 
   mutable std::vector<uint64_t> Parents;
-  /// Roots that lost a unite() since the last takeDirty(), in merge order.
+  /// Roots that lost a unite() since the last takeDirty(), in merge order:
+  /// the only record of merges.
   std::vector<uint64_t> Dirty;
-  /// Every losing root since enableMergeLog(), in merge order.
-  std::vector<uint64_t> MergeLog;
   /// Old parent edges overwritten while a mark is open, in write order.
   mutable std::vector<UndoEntry> UndoLog;
   /// Number of open transaction marks; the journal records while nonzero.
   unsigned OpenMarks = 0;
-  bool LogMerges = false;
   bool Poisoned = false;
   uint64_t UnionCount = 0;
 };

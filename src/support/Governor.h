@@ -30,8 +30,26 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 namespace egglog {
+
+/// The steady_clock deadline \p Seconds from now, shared by the governor's
+/// per-command budget and the schedule-wide RunOptions::TimeoutSeconds.
+/// A non-positive (or NaN) budget means no deadline, and so does a budget
+/// past the clock's range: 1e10 s already overflows steady_clock's int64
+/// nanoseconds, where the double-to-integer conversion would be undefined.
+inline std::optional<std::chrono::steady_clock::time_point>
+deadlineAfter(double Seconds) {
+  using Clock = std::chrono::steady_clock;
+  if (!(Seconds > 0))
+    return std::nullopt;
+  Clock::time_point Now = Clock::now();
+  double Ticks = Seconds * Clock::period::den / Clock::period::num;
+  if (Ticks >= static_cast<double>((Clock::time_point::max() - Now).count()))
+    return std::nullopt;
+  return Now + Clock::duration(static_cast<Clock::rep>(Ticks));
+}
 
 enum class GovernorVerdict : uint8_t {
   Ok,
@@ -68,26 +86,14 @@ public:
   /// cancel request left over from a previous command's trip.
   void arm() {
     CancelFlag.store(false, std::memory_order_release);
-    HasDeadline = false;
-    if (!(TimeoutSeconds > 0))
-      return;
-    // A budget past the clock's range (1e10 s already overflows
-    // steady_clock's int64 nanoseconds) cannot be represented, and the
-    // double-to-integer conversion would be undefined: it means no
-    // deadline.
-    Clock::time_point Now = Clock::now();
-    double Ticks = TimeoutSeconds * Clock::period::den / Clock::period::num;
-    if (Ticks >= static_cast<double>((Clock::time_point::max() - Now).count()))
-      return;
-    Deadline = Now + Clock::duration(static_cast<Clock::rep>(Ticks));
-    HasDeadline = true;
+    Deadline = deadlineAfter(TimeoutSeconds);
   }
 
   /// Deadline + cancellation only. Cheap enough for worker threads.
   GovernorVerdict pollQuick() const {
     if (CancelFlag.load(std::memory_order_acquire))
       return GovernorVerdict::Cancelled;
-    if (HasDeadline && Clock::now() >= Deadline)
+    if (Deadline && Clock::now() >= *Deadline)
       return GovernorVerdict::Timeout;
     return GovernorVerdict::Ok;
   }
@@ -122,8 +128,7 @@ private:
   size_t MaxLive = 0;
   size_t MaxBytes = 0;
   uint32_t CheckpointInterval = 1024;
-  bool HasDeadline = false;
-  Clock::time_point Deadline{};
+  std::optional<Clock::time_point> Deadline;
   std::atomic<bool> CancelFlag{false};
 };
 

@@ -33,16 +33,6 @@ inline uint64_t hashMix(uint64_t Key) {
   return Key;
 }
 
-/// Hashes a contiguous run of 64-bit words (FNV-1a over words, then mixed).
-inline uint64_t hashWords(const uint64_t *Words, size_t Count) {
-  uint64_t Hash = 1469598103934665603ull;
-  for (size_t I = 0; I < Count; ++I) {
-    Hash ^= Words[I];
-    Hash *= 1099511628211ull;
-  }
-  return hashMix(Hash);
-}
-
 } // namespace egglog
 
 #endif // EGGLOG_SUPPORT_HASHING_H

@@ -53,8 +53,6 @@ public:
   const BigInt &denominator() const { return Den; }
 
   bool isFinite() const { return !Den.isZero(); }
-  bool isPosInfinity() const { return Den.isZero() && !Num.isNegative(); }
-  bool isNegInfinity() const { return Den.isZero() && Num.isNegative(); }
 
   bool isZero() const { return Num.isZero(); }
   bool isNegative() const { return Num.isNegative(); }

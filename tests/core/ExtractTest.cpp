@@ -315,17 +315,60 @@ TEST(ExtractTest, TiedCostMergeFoldCannotCreateRenderCycle) {
   std::optional<ExtractedTerm> T0 = extractTerm(F.graph(), W);
   ASSERT_TRUE(T0.has_value());
   EXPECT_EQ(T0->Text, "A");
+  const ExtractIndex::Stats &S = F.graph().extractIndex().stats();
+  uint64_t Folded = S.MergesFolded;
   ASSERT_TRUE(F.execute("(union w (S u))")) << F.error();
   std::optional<ExtractedTerm> T1 = extractTerm(F.graph(), W);
   ASSERT_TRUE(T1.has_value());
   EXPECT_EQ(T1->Text, "(S B)");
   EXPECT_EQ(T1->Cost, 1);
+  // The merge reached the index through rebuild's hand-over. Without it
+  // the tie below goes undetected and rendering never terminates, so stop
+  // here instead.
+  ASSERT_EQ(S.MergesFolded, Folded + 1);
   // The dangerous merge: both classes cost 1.
+  uint64_t Full = S.FullRebuilds;
   ASSERT_TRUE(F.execute("(union w u)")) << F.error();
   std::optional<ExtractedTerm> T2 = extractTerm(F.graph(), W);
   ASSERT_TRUE(T2.has_value());
   EXPECT_EQ(T2->Text, "B");
   EXPECT_EQ(T2->Cost, 1);
+  EXPECT_EQ(S.FullRebuilds, Full + 1); // the tie bailed out to scratch
+}
+
+TEST(ExtractTest, UnionIsFoldedIncrementallyFromRebuildHandOver) {
+  // Rebuild hands each drained pass of losing roots to the index; the
+  // next refresh folds exactly those, without a scratch rebuild.
+  Frontend F;
+  ASSERT_TRUE(F.execute(R"(
+    (datatype E (Big :cost 9) (Small :cost 2) (Mid :cost 5))
+    (define x (Big))
+    (define y (Small))
+    (define z (Mid))
+  )")) << F.error();
+  Value X;
+  ASSERT_TRUE(F.evalGround("x", X));
+  std::optional<ExtractedTerm> T0 = extractTerm(F.graph(), X);
+  ASSERT_TRUE(T0.has_value());
+  EXPECT_EQ(T0->Text, "Big");
+  const ExtractIndex::Stats &S = F.graph().extractIndex().stats();
+  EXPECT_EQ(S.FullRebuilds, 1u);
+  ExtractIndex::Stats Before = S;
+  uint64_t Unions = F.graph().unionFind().unionCount();
+
+  // Two effective unions (the cheaper halves lose: x holds the smallest
+  // id) and one that is already implied.
+  ASSERT_TRUE(F.execute("(union x z) (union z y) (union y x)")) << F.error();
+  uint64_t Effective = F.graph().unionFind().unionCount() - Unions;
+  EXPECT_EQ(Effective, 2u);
+
+  std::optional<ExtractedTerm> T1 = extractTerm(F.graph(), X);
+  ASSERT_TRUE(T1.has_value());
+  EXPECT_EQ(T1->Text, "Small");
+  EXPECT_EQ(T1->Cost, 2);
+  EXPECT_EQ(S.Incrementals, Before.Incrementals + 1);
+  EXPECT_EQ(S.FullRebuilds, Before.FullRebuilds);
+  EXPECT_EQ(S.MergesFolded, Before.MergesFolded + Effective);
 }
 
 TEST(ExtractTest, SelfReferentialVariantChargesChildSubtree) {

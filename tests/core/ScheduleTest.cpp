@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace egglog;
 
 TEST(ScheduleTest, RulesOnlyRunWithTheirRuleset) {
@@ -216,6 +218,27 @@ TEST(ScheduleTest, ScheduleRespectsNodeLimit) {
     (run-schedule (saturate blow))
   )")) << F.error();
   EXPECT_TRUE(F.lastRun().HitNodeLimit);
+}
+
+TEST(ScheduleTest, BudgetBeyondTheClockRangeIsNoDeadline) {
+  // The graceful twin of the governor's case: a schedule-wide budget that
+  // steady_clock cannot represent means no deadline, not one in the past.
+  for (double Seconds :
+       {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    Frontend F;
+    F.runOptions().TimeoutSeconds = Seconds;
+    ASSERT_TRUE(F.execute(R"(
+      (relation edge (i64 i64))
+      (relation path (i64 i64))
+      (rule ((edge x y)) ((path x y)))
+      (rule ((path x y) (edge y z)) ((path x z)))
+      (edge 1 2) (edge 2 3) (edge 3 4)
+      (run 100)
+      (check (path 1 4))
+    )")) << F.error();
+    EXPECT_TRUE(F.lastRun().Saturated) << Seconds;
+    EXPECT_FALSE(F.lastRun().TimedOut) << Seconds;
+  }
 }
 
 TEST(ScheduleTest, BackoffAcrossPhasesTerminates) {

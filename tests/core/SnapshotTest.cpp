@@ -72,6 +72,10 @@ std::vector<unsigned char> readBytes(const std::string &Path) {
 
 void writeBytes(const std::string &Path,
                 const std::vector<unsigned char> &Bytes) {
+  // Unlink first: the sweeps rewrite one file per offset, and on ext4
+  // closing a truncated-and-rewritten file forces a flush (tens of ms),
+  // while closing a freshly created one does not.
+  std::remove(Path.c_str());
   std::ofstream Stream(Path, std::ios::binary | std::ios::trunc);
   ASSERT_TRUE(Stream.is_open()) << Path;
   Stream.write(reinterpret_cast<const char *>(Bytes.data()),
