@@ -683,6 +683,8 @@ size_t EGraph::approxBytes() const {
   size_t Total = UF.approxBytes();
   for (const auto &Info : Functions)
     Total += Info->Storage->approxBytes();
+  if (ExtractIdx)
+    Total += ExtractIdx->pendingBytes();
   return Total;
 }
 

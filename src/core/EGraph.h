@@ -330,7 +330,8 @@ public:
   /// Immediate full poll (no amortization); reports the error on a trip.
   bool governorTripped();
 
-  /// Approximate bytes held by tables + union-find (governor ceiling).
+  /// Approximate bytes held by tables, union-find and the extraction
+  /// index's pending merge hand-over (governor ceiling).
   size_t approxBytes() const;
 
   //===--------------------------------------------------------------------===

@@ -212,9 +212,8 @@ private:
   /// Global iteration counter across runs (drives ban spans).
   uint64_t GlobalIteration = 0;
 
-  /// The schedule-wide RunOptions::TimeoutSeconds deadline, fixed when
-  /// runSchedule starts; nullopt when unlimited.
-  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+  /// Whether the schedule-wide RunOptions::TimeoutSeconds deadline, fixed
+  /// when runSchedule starts, has passed.
   static bool expired(const Deadline &D) {
     return D && std::chrono::steady_clock::now() > *D;
   }

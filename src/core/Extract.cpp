@@ -473,7 +473,11 @@ std::vector<ExtractedTerm> egglog::extractVariants(EGraph &Graph, Value V,
       continue;
     const Table &T = *Info.Storage;
     for (size_t Row = 0; Row < T.rowCount(); ++Row) {
-      if (!T.isLive(Row) || UF.find(T.output(Row).Bits) != Root)
+      if (!T.isLive(Row))
+        continue;
+      if (!Graph.governorCheckpoint("extract.variants"))
+        return Variants;
+      if (UF.find(T.output(Row).Bits) != Root)
         continue;
       int64_t Total = Info.Decl.Cost;
       for (unsigned I = 0; I < Info.numKeys() && Total != Infinity; ++I)

@@ -94,9 +94,19 @@ public:
   /// Marks the cached state unusable; the next refresh recomputes from
   /// scratch. Called by the EGraph on txnRollback() (a failed command or a
   /// (pop)) and on term deletion (the only mutations under which class
-  /// costs can increase).
-  void invalidate() { Valid = false; }
+  /// costs can increase). Drops the pending hand-over, which the scratch
+  /// rebuild does not read.
+  void invalidate() {
+    Valid = false;
+    Merged.clear();
+    Merged.shrink_to_fit();
+  }
   bool valid() const { return Valid; }
+
+  /// Bytes held by the pending hand-over, which grows by one id per union
+  /// until the next refresh; counted toward the governor's memory ceiling
+  /// by EGraph::approxBytes().
+  size_t pendingBytes() const { return Merged.capacity() * sizeof(uint64_t); }
 
   const Stats &stats() const { return S; }
 

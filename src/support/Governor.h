@@ -34,13 +34,15 @@
 
 namespace egglog {
 
+/// A wall-clock deadline; nullopt when unlimited.
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
 /// The steady_clock deadline \p Seconds from now, shared by the governor's
 /// per-command budget and the schedule-wide RunOptions::TimeoutSeconds.
 /// A non-positive (or NaN) budget means no deadline, and so does a budget
 /// past the clock's range: 1e10 s already overflows steady_clock's int64
 /// nanoseconds, where the double-to-integer conversion would be undefined.
-inline std::optional<std::chrono::steady_clock::time_point>
-deadlineAfter(double Seconds) {
+inline Deadline deadlineAfter(double Seconds) {
   using Clock = std::chrono::steady_clock;
   if (!(Seconds > 0))
     return std::nullopt;
@@ -86,14 +88,14 @@ public:
   /// cancel request left over from a previous command's trip.
   void arm() {
     CancelFlag.store(false, std::memory_order_release);
-    Deadline = deadlineAfter(TimeoutSeconds);
+    Due = deadlineAfter(TimeoutSeconds);
   }
 
   /// Deadline + cancellation only. Cheap enough for worker threads.
   GovernorVerdict pollQuick() const {
     if (CancelFlag.load(std::memory_order_acquire))
       return GovernorVerdict::Cancelled;
-    if (Deadline && Clock::now() >= *Deadline)
+    if (Due && Clock::now() >= *Due)
       return GovernorVerdict::Timeout;
     return GovernorVerdict::Ok;
   }
@@ -128,7 +130,7 @@ private:
   size_t MaxLive = 0;
   size_t MaxBytes = 0;
   uint32_t CheckpointInterval = 1024;
-  std::optional<Clock::time_point> Deadline;
+  Deadline Due;
   std::atomic<bool> CancelFlag{false};
 };
 

@@ -371,6 +371,43 @@ TEST(ExtractTest, UnionIsFoldedIncrementallyFromRebuildHandOver) {
   EXPECT_EQ(S.MergesFolded, Before.MergesFolded + Effective);
 }
 
+TEST(ExtractTest, PendingHandOverIsCountedAndDroppedOnInvalidate) {
+  // Losers wait in the index between a rebuild and the next refresh. The
+  // governor's byte count includes them, and invalidation drops them.
+  Frontend F;
+  ASSERT_TRUE(F.execute(R"(
+    (datatype E (Big :cost 9) (Small :cost 2) (Mid :cost 5))
+    (define x (Big))
+    (define y (Small))
+    (define z (Mid))
+  )")) << F.error();
+  EGraph &G = F.graph();
+  Value X;
+  ASSERT_TRUE(F.evalGround("x", X));
+  ASSERT_TRUE(extractTerm(G, X).has_value());
+  ExtractIndex &Idx = G.extractIndex();
+  EXPECT_EQ(Idx.pendingBytes(), 0u);
+
+  ASSERT_TRUE(F.execute("(union x z) (union z y)")) << F.error();
+  if (G.needsRebuild())
+    G.rebuild();
+  EXPECT_GE(Idx.pendingBytes(), 2 * sizeof(uint64_t));
+  size_t Counted = G.unionFind().approxBytes() + Idx.pendingBytes();
+  for (size_t Func = 0; Func < G.numFunctions(); ++Func)
+    Counted += G.function(Func).Storage->approxBytes();
+  EXPECT_EQ(G.approxBytes(), Counted);
+
+  // A failed command rolls back, which invalidates the index.
+  EXPECT_FALSE(F.execute("(union x nosuch)"));
+  EXPECT_FALSE(Idx.valid());
+  EXPECT_EQ(Idx.pendingBytes(), 0u);
+  uint64_t Rebuilds = Idx.stats().FullRebuilds;
+  std::optional<ExtractedTerm> T = extractTerm(G, X);
+  ASSERT_TRUE(T.has_value());
+  EXPECT_EQ(T->Text, "Small");
+  EXPECT_EQ(Idx.stats().FullRebuilds, Rebuilds + 1);
+}
+
 TEST(ExtractTest, SelfReferentialVariantChargesChildSubtree) {
   // (Neg root) lies in root's own class; its DAG cost must include the
   // rendered child subtree (the class's best term), not skip it.

@@ -201,6 +201,29 @@ TEST(FaultInjectionTest, SiteFilterOnlyFiresAtThatSite) {
   EXPECT_TRUE(F.execute("(datatype T (A) (B))")) << F.error();
 }
 
+TEST(FaultInjectionTest, VariantScanReachesAGovernorCheckpoint) {
+  // With the index warm, (extract e n) does no refresh work; its only
+  // checkpoint is the scan over the sort's live rows, so a fault armed
+  // there proves a timeout or cancel can stop that scan.
+  DisarmGuard Guard;
+  Frontend F;
+  ASSERT_TRUE(F.execute("(datatype M (Num i64) (Add M M))"
+                        "(define e (Add (Num 1) (Num 2)))"
+                        "(union e (Add (Num 2) (Num 1)))"
+                        "(extract e)"))
+      << F.error();
+  StateFingerprint Before = fingerprint(F);
+  F.graph().governor().setCheckpointInterval(1);
+  failpoints::arm("extract.variants", 1);
+  EXPECT_FALSE(F.execute("(extract e 3)"));
+  failpoints::disarm();
+  EXPECT_NE(F.error().find("injected fault at 'extract.variants'"),
+            std::string::npos)
+      << F.error();
+  EXPECT_EQ(fingerprint(F), Before);
+  EXPECT_TRUE(F.execute("(extract e 3)")) << F.error();
+}
+
 TEST(FaultInjectionTest, HitCountingWithoutFiring) {
   DisarmGuard Guard;
   Frontend F;
