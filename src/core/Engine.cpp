@@ -461,32 +461,14 @@ bool Engine::runScheduleNode(const Schedule &S, const RunOptions &Base,
     return Updated;
   }
 
-  case Schedule::Kind::Repeat: {
-    bool Updated = false;
-    bool BodyAtFixpoint = false;
-    for (unsigned Rep = 0; Rep < S.Times && !Stop; ++Rep) {
-      bool PassUpdated = false;
-      for (const Schedule &Child : S.Children) {
-        PassUpdated |= runScheduleNode(Child, Base, Total, Due, Stop);
-        if (Stop)
-          break;
-      }
-      Updated |= PassUpdated;
-      // A whole pass without progress is a fixpoint of the repeated body;
-      // further repetitions cannot change anything.
-      if (!PassUpdated && !Stop) {
-        BodyAtFixpoint = true;
-        break;
-      }
-    }
-    Total.Saturated = BodyAtFixpoint;
-    return Updated;
-  }
-
+  case Schedule::Kind::Repeat:
   case Schedule::Kind::Saturate: {
+    size_t Passes = S.ScheduleKind == Schedule::Kind::Repeat
+                        ? S.Times
+                        : MaxSaturatePasses;
     bool Updated = false;
     bool Converged = false;
-    for (size_t Pass = 0; Pass < MaxSaturatePasses && !Stop; ++Pass) {
+    for (size_t Pass = 0; Pass < Passes && !Stop; ++Pass) {
       bool PassUpdated = false;
       for (const Schedule &Child : S.Children) {
         PassUpdated |= runScheduleNode(Child, Base, Total, Due, Stop);
@@ -495,9 +477,9 @@ bool Engine::runScheduleNode(const Schedule &S, const RunOptions &Base,
       }
       Updated |= PassUpdated;
       if (!PassUpdated && !Stop) {
-        // A whole pass without updates (and no bans pending) IS the
-        // saturation proof for the whole body; a leaf's own verdict covers
-        // only its ruleset.
+        // A whole pass without updates (and no bans pending) is a fixpoint
+        // of the repeated body, so further passes cannot change anything;
+        // a leaf's own verdict covers only its ruleset.
         Converged = true;
         break;
       }

@@ -357,58 +357,13 @@ void renderValue(EGraph &Graph, const ExtractIndex &Idx, Value V,
 
 } // namespace
 
-int64_t ExtractIndex::dagCostFromRow(const EGraph &Graph, FunctionId Func,
-                                     uint32_t Row) const {
-  // The seed's own class is deliberately NOT pre-marked: for extractTerm
-  // the seed is its class's best row and the best-row graph is acyclic
-  // (a row never strictly beats a cost it is derived from), so the class
-  // is unreachable anyway; for a variant row, a child re-entering the
-  // seed's class renders the class's best term and must be charged.
-  if (DagVisited.size() < Graph.unionFind().size())
-    DagVisited.resize(Graph.unionFind().size(), 0);
-  if (++DagEpoch == 0) { // stamp wrap: start a fresh scratch
-    std::fill(DagVisited.begin(), DagVisited.end(), 0);
-    DagEpoch = 1;
-  }
-  std::vector<uint64_t> Pending;
-  int64_t Total = 0;
-  auto AddRow = [&](FunctionId F, uint32_t R) {
-    const FunctionInfo &Info = Graph.function(F);
-    Total = saturatingAdd(Total, Info.Decl.Cost);
-    for (unsigned I = 0; I < Info.numKeys(); ++I) {
-      Value Cell = Info.Storage->cell(R, I);
-      if (!Graph.sorts().isIdSort(Cell.Sort)) {
-        Total = saturatingAdd(Total, 1);
-        continue;
-      }
-      uint64_t Class = Graph.unionFind().find(Cell.Bits);
-      if (DagVisited[Class] != DagEpoch) {
-        DagVisited[Class] = DagEpoch;
-        Pending.push_back(Class);
-      }
-    }
-  };
-  AddRow(Func, Row);
-  while (!Pending.empty()) {
-    uint64_t Class = Pending.back();
-    Pending.pop_back();
-    // Classes reachable from a finite-cost term always have a finite-cost
-    // entry themselves; the guard is defensive.
-    const Entry *E = bestClass(Class);
-    if (!E)
-      return Infinity;
-    AddRow(E->Func, E->Row);
-  }
-  return Total;
-}
-
 //===----------------------------------------------------------------------===
 // Public entry points
 //===----------------------------------------------------------------------===
 
 std::optional<ExtractedTerm> egglog::extractTerm(EGraph &Graph, Value V) {
   if (!Graph.sorts().isIdSort(V.Sort))
-    return ExtractedTerm{formatValue(Graph, V), 1, 1};
+    return ExtractedTerm{formatValue(Graph, V), 1};
   ExtractIndex &Idx = Graph.extractIndex();
   Idx.refresh(Graph);
   if (Graph.failed())
@@ -418,17 +373,9 @@ std::optional<ExtractedTerm> egglog::extractTerm(EGraph &Graph, Value V) {
     return std::nullopt;
   ExtractedTerm Out;
   Out.Cost = E->Cost;
-  Out.DagCost = Idx.dagCostFromRow(Graph, E->Func, E->Row);
   std::vector<RenderItem> Stack;
   renderValue(Graph, Idx, V, Stack, Out.Text);
   return Out;
-}
-
-std::optional<ExtractedTerm> egglog::extractTermDag(EGraph &Graph, Value V) {
-  std::optional<ExtractedTerm> Term = extractTerm(Graph, V);
-  if (Term)
-    Term->Cost = Term->DagCost;
-  return Term;
 }
 
 std::optional<int64_t> egglog::extractCost(EGraph &Graph, Value V) {
@@ -448,7 +395,7 @@ std::vector<ExtractedTerm> egglog::extractVariants(EGraph &Graph, Value V,
                                                    size_t MaxVariants) {
   std::vector<ExtractedTerm> Variants;
   if (!Graph.sorts().isIdSort(V.Sort)) {
-    Variants.push_back(ExtractedTerm{formatValue(Graph, V), 1, 1});
+    Variants.push_back(ExtractedTerm{formatValue(Graph, V), 1});
     return Variants;
   }
   ExtractIndex &Idx = Graph.extractIndex();
@@ -457,7 +404,9 @@ std::vector<ExtractedTerm> egglog::extractVariants(EGraph &Graph, Value V,
     return Variants;
 
   // Every live row producing into this class: only functions of V's sort
-  // can, so scan their live rows for the class root. Each is completed with
+  // can, and each such row names the class root in its output column, so
+  // the root's occurrence list in their tables holds them all (rows naming
+  // the root only as a key are skipped). Each is completed with
   // cheapest-cost children.
   struct Candidate {
     int64_t Cost;
@@ -471,21 +420,22 @@ std::vector<ExtractedTerm> egglog::extractVariants(EGraph &Graph, Value V,
     const FunctionInfo &Info = Graph.function(F);
     if (Info.Decl.OutSort != V.Sort)
       continue;
-    const Table &T = *Info.Storage;
-    for (size_t Row = 0; Row < T.rowCount(); ++Row) {
-      if (!T.isLive(Row))
-        continue;
+    Table &T = *Info.Storage;
+    bool Walked = T.forEachOccurrence(Root, [&](uint32_t Row) {
       if (!Graph.governorCheckpoint("extract.variants"))
-        return Variants;
+        return false;
       if (UF.find(T.output(Row).Bits) != Root)
-        continue;
+        return true;
       int64_t Total = Info.Decl.Cost;
       for (unsigned I = 0; I < Info.numKeys() && Total != Infinity; ++I)
         Total = saturatingAdd(Total, Idx.costOf(Graph, T.cell(Row, I)));
       if (Total != Infinity)
-        Candidates.push_back(Candidate{Total, static_cast<FunctionId>(F),
-                                       static_cast<uint32_t>(Row)});
-    }
+        Candidates.push_back(
+            Candidate{Total, static_cast<FunctionId>(F), Row});
+      return true;
+    });
+    if (!Walked)
+      return Variants;
   }
   // Cheapest first; (Func, Row) tiebreak keeps the order deterministic so
   // repeated calls with growing MaxVariants return consistent prefixes.
@@ -507,8 +457,7 @@ std::vector<ExtractedTerm> egglog::extractVariants(EGraph &Graph, Value V,
     renderRow(Graph, Idx, C.Func, C.Row, Stack, Text);
     if (!Seen.insert(Text).second)
       continue;
-    int64_t Dag = Idx.dagCostFromRow(Graph, C.Func, C.Row);
-    Variants.push_back(ExtractedTerm{std::move(Text), C.Cost, Dag});
+    Variants.push_back(ExtractedTerm{std::move(Text), C.Cost});
   }
   return Variants;
 }

@@ -22,8 +22,8 @@
 /// decrease-propagation reaches the same fixpoint as a from-scratch run).
 /// Genuine deletions (the delete action, rollback, pop) invalidate the
 /// index, which then rebuilds from scratch on the next refresh. Terms are
-/// rendered on every call; variants find their rows by scanning the
-/// tables. See DESIGN.md "Extraction".
+/// rendered on every call; variants find their rows in the tables'
+/// occurrence indexes. See DESIGN.md "Extraction".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,13 +39,11 @@
 
 namespace egglog {
 
-/// An extracted term with its costs. Cost is the tree cost (every subterm
-/// occurrence paid for separately, the paper's §3.4 metric); DagCost pays
-/// each distinct equivalence class once, crediting sharing.
+/// An extracted term with its tree cost (every subterm occurrence paid for
+/// separately, the paper's §3.4 metric).
 struct ExtractedTerm {
   std::string Text;
   int64_t Cost = 0;
-  int64_t DagCost = 0;
 };
 
 /// Renders a base (non-id) value as surface syntax.
@@ -118,24 +116,6 @@ public:
   /// without a finite-cost derivation.
   const Entry *best(const EGraph &Graph, Value V) const;
 
-  /// Best entry for a canonical union-find class id (for callers that hold
-  /// raw class bits rather than a sorted Value).
-  const Entry *bestClass(uint64_t Root) const {
-    if (Root >= Best.size() || Best[Root].Cost == Infinity)
-      return nullptr;
-    return &Best[Root];
-  }
-
-  /// DAG cost of the term formed by \p Func(\p Row) with best-cost
-  /// children: each distinct reachable class pays its chosen row's declared
-  /// cost (plus 1 per base-value child) exactly once, and the seed row
-  /// itself pays on top — so a variant row whose child re-enters the seed's
-  /// class still charges the rendered child subtree. Equals the tree cost
-  /// on sharing-free terms. Uses an epoch-stamped visited scratch, so
-  /// repeated calls (one per variant) cost O(term), not O(all ids).
-  int64_t dagCostFromRow(const EGraph &Graph, FunctionId Func,
-                         uint32_t Row) const;
-
 private:
   /// Pooled singly-linked chain node for the use chains.
   struct ChainNode {
@@ -166,10 +146,6 @@ private:
   /// drain reaches it rescans its use chain once, not t times.
   std::vector<uint64_t> Queue;
   std::vector<uint8_t> QueuePending;
-  /// Visited scratch for dagCostFromRow: a class is visited in the current
-  /// call iff its stamp equals DagEpoch (no per-call zeroing).
-  mutable std::vector<uint32_t> DagVisited;
-  mutable uint32_t DagEpoch = 0;
 
   bool participates(const EGraph &Graph, size_t Func) const;
   void ensureIdCapacity(size_t Ids);
@@ -196,18 +172,11 @@ private:
   void rebuildFromScratch(EGraph &Graph);
 };
 
-/// Extracts the cheapest term represented by \p V (tree cost; DagCost is
-/// filled in alongside). Returns nullopt when no term in the database
-/// represents the value (possible for fresh ids that no constructor entry
-/// outputs). Term building is iterative — arbitrarily deep terms extract
-/// without recursion.
+/// Extracts the cheapest term represented by \p V. Returns nullopt when no
+/// term in the database represents the value (possible for fresh ids that
+/// no constructor entry outputs). Term building is iterative — arbitrarily
+/// deep terms extract without recursion.
 std::optional<ExtractedTerm> extractTerm(EGraph &Graph, Value V);
-
-/// DAG-cost mode: the same (tree-cost-optimal) term selection, but Cost is
-/// the DAG cost — every distinct class in the term is paid once, so shared
-/// subterms are not double-counted (sharing-aware accounting in the spirit
-/// of Accattoli et al.; selection stays greedy, as in egg's dag extractor).
-std::optional<ExtractedTerm> extractTermDag(EGraph &Graph, Value V);
 
 /// Computes only the tree cost of the cheapest representative of \p V.
 std::optional<int64_t> extractCost(EGraph &Graph, Value V);
@@ -219,8 +188,9 @@ std::optional<int64_t> extractCost(EGraph &Graph, Value V);
 /// and keeps the most accurate. Repeated calls reuse the warm index, so
 /// asking for a larger count later repeats no cost-fixpoint work (variants
 /// are re-rendered; order is deterministic, so the earlier result is a
-/// prefix of the later one). The candidate rows come from a scan of the
-/// live rows of every function whose output sort is V's sort.
+/// prefix of the later one). The candidate rows come from V's class's
+/// occurrence list in every table whose output sort is V's sort, so a call
+/// costs O(occurrences of the class), not O(rows of the sort).
 std::vector<ExtractedTerm> extractVariants(EGraph &Graph, Value V,
                                            size_t MaxVariants);
 

@@ -1022,9 +1022,6 @@ bool Frontend::flattenPattern(RuleCtx &Ctx, const SExpr &Pattern,
         Binding Arg;
         if (!flattenPattern(Ctx, Pattern[I + 1], Info.Decl.ArgSorts[I], Arg))
           return false;
-        if (Arg.Sort != Info.Decl.ArgSorts[I])
-          return fail(Pattern[I + 1], "argument sort mismatch in call to '" +
-                                          Head + "'");
         Atom.Terms.push_back(Arg.Term);
       }
       uint32_t Slot = Ctx.freshVar(Info.Decl.OutSort);

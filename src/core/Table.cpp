@@ -113,7 +113,7 @@ void Table::growIndex() {
 
 void Table::indexInsert(size_t Row) {
   // Keep load factor under 70%.
-  if ((NumLive + 1) * 10 >= Slots.size() * 7)
+  if ((liveCount() + 1) * 10 >= Slots.size() * 7)
     growIndex();
   uint64_t Hash = hashRow(Row);
   size_t Slot = Hash & SlotMask;
@@ -125,9 +125,7 @@ void Table::indexInsert(size_t Row) {
 void Table::unlinkRow(size_t Row) {
   assert(Live[Row] && "killing a dead row");
   Live[Row] = false;
-  --NumLive;
   LiveHash -= contentHash(Row);
-  ++Kills;
   KillLog.push_back(static_cast<uint32_t>(Row));
   // Locate the slot holding this row. A live row is always indexed, so the
   // probe chain from its hash must contain it.
@@ -161,7 +159,6 @@ size_t Table::appendRow(const Value *Keys, Value Out, uint32_t Stamp) {
     StampsSorted = false;
   Stamps.push_back(Stamp);
   Live.push_back(true);
-  ++NumLive;
   LiveHash += contentHash(NewRow);
   ++Version;
   indexInsert(NewRow);
@@ -236,19 +233,9 @@ size_t Table::occurrenceCount(const std::vector<uint64_t> &Ids) {
   return Count;
 }
 
-void Table::takeOccurrences(uint64_t IdBits, std::vector<uint32_t> &Out) {
-  catchUpOccurrences();
-  if (IdBits >= OccHead.size())
-    return;
-  for (int32_t Node = OccHead[IdBits]; Node >= 0; Node = OccPool[Node].Next)
-    if (Live[OccPool[Node].Row])
-      Out.push_back(OccPool[Node].Row);
-  OccHead[IdBits] = -1;
-}
-
 void Table::rebuildSlots(size_t Rows) {
   size_t MinSlots = 16;
-  while (NumLive * 10 >= MinSlots * 7)
+  while (liveCount() * 10 >= MinSlots * 7)
     MinSlots *= 2;
   Slots.assign(MinSlots, 0);
   SlotMask = Slots.size() - 1;
@@ -291,9 +278,7 @@ void Table::rollbackTo(const TxnMark &M) {
     Col.resize(M.Rows);
   Stamps.resize(M.Rows);
   Live.resize(M.Rows);
-  NumLive = M.NumLive;
   LiveHash = M.LiveHash;
-  Kills = M.Kills;
   StampsSorted = M.StampsSorted;
   ++Version;
 

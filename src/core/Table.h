@@ -53,8 +53,9 @@ public:
   /// Number of values per row (keys plus output).
   unsigned rowWidth() const { return NumKeys + 1; }
 
-  /// Number of live rows.
-  size_t liveCount() const { return NumLive; }
+  /// Number of live rows: every kill is journaled and each row dies at
+  /// most once, so the rows not in the kill journal.
+  size_t liveCount() const { return rowCount() - KillLog.size(); }
   /// Number of row slots ever appended (including dead rows).
   size_t rowCount() const { return Stamps.size(); }
 
@@ -84,9 +85,10 @@ public:
   /// stale.
   uint64_t version() const { return Version; }
 
-  /// Number of rows ever killed (by update or erase). Lets an incremental
-  /// index refresh skip the dead-row sweep when nothing died.
-  uint64_t killCount() const { return Kills; }
+  /// Number of rows ever killed (by update or erase), i.e. the kill
+  /// journal's length. Lets an incremental index refresh skip the dead-row
+  /// sweep when nothing died.
+  uint64_t killCount() const { return KillLog.size(); }
 
   /// Order-independent hash of the live content: the sum of rowHash over
   /// the live rows, kept up to date by every append, kill and rollback.
@@ -159,7 +161,8 @@ public:
   //
   // Maps an uninterpreted id to the rows whose id-sort columns mention it,
   // so rebuild() can resolve exactly the rows containing a merged id
-  // instead of sweeping rowCount(). Maintained lazily: inserts do nothing,
+  // instead of sweeping rowCount(), and extraction can find the rows
+  // producing into a class. Maintained lazily: inserts do nothing,
   // and catch-up scans only the rows appended since the last drain (rows
   // are append-only, and every cell was canonical when written). Lists may
   // contain dead rows — readers skip them — and are dropped wholesale once
@@ -176,11 +179,33 @@ public:
   /// in the lists are counted); used by the bulk-sweep heuristic.
   size_t occurrenceCount(const std::vector<uint64_t> &Ids);
 
+  /// Calls \p Visit(Row) for each live row whose id columns mention
+  /// \p IdBits, leaving the list in place; stops early, returning false,
+  /// when \p Visit returns false. The list is complete for a canonical id:
+  /// only losing ids' lists are consumed or dropped, and rollback wipes the
+  /// index for the catch-up to rebuild.
+  template <typename VisitFn>
+  bool forEachOccurrence(uint64_t IdBits, VisitFn &&Visit) {
+    catchUpOccurrences();
+    if (IdBits >= OccHead.size())
+      return true;
+    for (int32_t Node = OccHead[IdBits]; Node >= 0; Node = OccPool[Node].Next)
+      if (Live[OccPool[Node].Row] && !Visit(OccPool[Node].Row))
+        return false;
+    return true;
+  }
+
   /// Appends the rows whose id columns mention \p IdBits to \p Out (dead
   /// rows are filtered out here) and drops the consumed list: once the
   /// caller re-canonicalizes those rows, \p IdBits can never be written
   /// into this table again.
-  void takeOccurrences(uint64_t IdBits, std::vector<uint32_t> &Out);
+  void takeOccurrences(uint64_t IdBits, std::vector<uint32_t> &Out) {
+    forEachOccurrence(IdBits, [&](uint32_t Row) {
+      Out.push_back(Row);
+      return true;
+    });
+    dropOccurrences(IdBits);
+  }
 
   /// Drops the occurrence list of \p IdBits without reading it (used when
   /// a full sweep supersedes per-id resolution for this pass).
@@ -221,15 +246,12 @@ public:
   struct TxnMark {
     size_t Rows = 0;
     size_t KillLogSize = 0;
-    size_t NumLive = 0;
-    uint64_t Kills = 0;
     uint64_t LiveHash = 0;
     bool StampsSorted = true;
   };
 
   TxnMark txnMark() const {
-    return TxnMark{Stamps.size(), KillLog.size(), NumLive, Kills, LiveHash,
-                   StampsSorted};
+    return TxnMark{Stamps.size(), KillLog.size(), LiveHash, StampsSorted};
   }
 
   /// Rolls the table back to \p M. The row data, key index and cached
@@ -250,18 +272,16 @@ private:
   std::vector<std::vector<Value>> Columns;
   std::vector<uint32_t> Stamps;
   std::vector<bool> Live;
-  size_t NumLive = 0;
   /// See liveHash().
   uint64_t LiveHash = 0;
   uint64_t Version = 0;
-  uint64_t Kills = 0;
   /// True while Stamps is non-decreasing in append order (always the case
   /// under the engine's monotonic timestamp); enables a binary search in
   /// liveCountAtLeast.
   bool StampsSorted = true;
   /// Row indexes killed, in kill order (truncated by rollback). Always on
   /// (4 bytes per kill) so transactions and contexts can roll kills back
-  /// without a bitmap copy.
+  /// without a bitmap copy; its length is killCount().
   std::vector<uint32_t> KillLog;
   mutable std::unique_ptr<IndexCache> Indexes;
 

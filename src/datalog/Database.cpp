@@ -36,10 +36,3 @@ EqRel &Database::eqrel(const std::string &Name) {
   assert(It != EqRels.end() && "unknown eqrel");
   return It->second;
 }
-
-size_t Database::totalTuples() const {
-  size_t Total = 0;
-  for (const auto &[Name, Rel] : Relations)
-    Total += Rel.size();
-  return Total;
-}

@@ -90,8 +90,6 @@ public:
     return Rows.size() != DeltaStart;
   }
 
-  bool hasPending() const { return !Pending.empty(); }
-
 private:
   unsigned Arity;
   std::vector<std::vector<Val>> Rows;
@@ -159,7 +157,6 @@ public:
                        Members[Rb].end());
     Members[Rb].clear();
     Members[Rb].shrink_to_fit();
-    ++Generation;
     return true;
   }
 
@@ -200,10 +197,6 @@ public:
 
   size_t numElements() const { return Parent.size(); }
 
-  /// Monotone counter bumped on every effective union; evaluators use it
-  /// to detect growth.
-  uint64_t generation() const { return Generation; }
-
   /// The number of pairs the eqrel semantically represents (sum over
   /// classes of |c|^2) — the quadratic footprint a plain encoding would
   /// materialize.
@@ -221,7 +214,6 @@ private:
   std::vector<std::vector<Val>> Members;
   std::vector<MergeEvent> PendingEvents;
   std::vector<MergeEvent> DeltaEvents;
-  uint64_t Generation = 0;
 };
 
 /// A named collection of relations and eqrels.
@@ -266,9 +258,6 @@ public:
            isEqRelRepr(Name);
   }
 
-  /// Total explicit tuples across relations.
-  size_t totalTuples() const;
-
   /// Ends the current iteration for every explicit relation and eqrel
   /// (each exactly once); returns true if any relation gained tuples.
   bool advanceAll() {
@@ -278,15 +267,6 @@ public:
     for (auto &[Name, Eq] : EqRels)
       Any |= Eq.advance();
     return Any;
-  }
-
-  /// Sum of eqrel generations (monotone; used to detect equivalence
-  /// growth).
-  uint64_t eqrelGeneration() const {
-    uint64_t Total = 0;
-    for (const auto &[Name, Eq] : EqRels)
-      Total += Eq.generation();
-    return Total;
   }
 
 private:

@@ -105,10 +105,6 @@ private:
       Indexes;
 
   void extendIndex(const std::string &Rel, uint32_t Mask, ColIndex &Index);
-  const std::vector<uint32_t> *probeIndex(const std::string &Rel,
-                                          uint32_t Mask,
-                                          const std::vector<Val> &Row,
-                                          uint64_t &KeyHash);
 
   /// Executes one rule variant. \p DeltaAtom selects which body atom reads
   /// the delta (SIZE_MAX = all atoms read everything).

@@ -61,7 +61,6 @@ class EGraphClassic {
 public:
   /// Interns an operator name.
   uint32_t opId(const std::string &Name) { return Ops.intern(Name); }
-  const std::string &opName(uint32_t Op) const { return Ops.lookup(Op); }
 
   /// Adds (hash-conses) an e-node, canonicalizing its children. Returns the
   /// canonical class representing it.
@@ -83,8 +82,6 @@ public:
   /// Restores the hashcons and congruence invariants (egg's deferred
   /// rebuild). Must be called before matching.
   void rebuild();
-
-  bool isClean() const { return Worklist.empty(); }
 
   /// Number of canonical e-nodes (after rebuild this equals the hashcons
   /// size).

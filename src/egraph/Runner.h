@@ -71,8 +71,6 @@ public:
   bool addRewrite(const std::string &Name, const std::string &Lhs,
                   const std::string &Rhs);
 
-  size_t numRewrites() const { return Rewrites.size(); }
-
   /// Runs until iteration/size/time limits or saturation.
   RunnerReport run(const RunnerOptions &Options);
 

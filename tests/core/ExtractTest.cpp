@@ -4,11 +4,12 @@
 // contract (zero cost-fixpoint row sweeps over an unchanged database),
 // incremental refresh after inserts and merges, invalidation on deletion
 // and pop, iterative term building at depths that would overflow a
-// recursive builder, DAG versus tree cost, shortest round-trip f64
-// rendering, and the negative-:cost diagnostics. The randomized driver
-// holds the incremental index's costs identical to the from-scratch
-// reference fixpoint (oracle/Reference.h) across union/insert/run/push/pop
-// sequences.
+// recursive builder, variants read from the occurrence index, shortest
+// round-trip f64 rendering, and the negative-:cost diagnostics. The
+// randomized driver holds the incremental index's costs identical to the
+// from-scratch reference fixpoint (oracle/Reference.h) across
+// union/insert/run/push/pop sequences, and every merge handed over by
+// rebuild folded exactly once.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,8 +62,6 @@ TEST(ExtractTest, DeepChainExtractsWithoutRecursion) {
   std::optional<ExtractedTerm> Term = extractTerm(F.graph(), Root);
   ASSERT_TRUE(Term.has_value());
   EXPECT_EQ(Term->Cost, static_cast<int64_t>(Depth) + 1);
-  // A chain shares nothing, so DAG and tree cost agree.
-  EXPECT_EQ(Term->DagCost, Term->Cost);
   EXPECT_EQ(Term->Text.size(), Depth * 3 + Depth + 1); // "(S " ... "Z" ")"*
   EXPECT_EQ(Term->Text.substr(0, 6), "(S (S ");
   EXPECT_EQ(Term->Text[Term->Text.size() - 1], ')');
@@ -273,30 +272,69 @@ TEST(ExtractTest, VariantPrefixesAreStableAcrossGrowingRequests) {
     EXPECT_EQ(Few[I].Text, Many[I].Text);
 }
 
-//===----------------------------------------------------------------------===
-// DAG cost
-//===----------------------------------------------------------------------===
+#if EGGLOG_FAILPOINTS_ENABLED
 
-TEST(ExtractTest, DagCostCreditsSharing) {
+TEST(ExtractTest, VariantsWalkOnlyTheClassOccurrences) {
+  // (extract e n) finds its candidates in the class's occurrence lists, so
+  // with one checkpoint per walked row it visits at most the rows naming
+  // the class, however many unrelated rows the sort holds. The class has
+  // three producers: two Add rows and the nullary e.
+  struct Disarm {
+    ~Disarm() { failpoints::disarm(); }
+  } Guard;
   Frontend F;
   ASSERT_TRUE(F.execute(R"(
-    (datatype Math (Num i64) (Add Math Math))
-    (define t (Add (Num 1) (Num 2)))
-    (define e (Add t t))
+    (datatype M (Num i64) (Add M M))
+    (define e (Add (Num 1) (Num 2)))
+    (union e (Add (Num 2) (Num 1)))
   )")) << F.error();
-  Value Root;
-  ASSERT_TRUE(F.evalGround("e", Root));
-  std::optional<ExtractedTerm> Term = extractTerm(F.graph(), Root);
-  ASSERT_TRUE(Term.has_value());
-  // Tree: Add(1) + 2 * [Add(1) + Num(2) + Num(2)] = 11.
-  EXPECT_EQ(Term->Cost, 11);
-  // DAG: the shared subterm and each Num class pay once: 1 + 5 = 6.
-  EXPECT_EQ(Term->DagCost, 6);
-  std::optional<ExtractedTerm> Dag = extractTermDag(F.graph(), Root);
-  ASSERT_TRUE(Dag.has_value());
-  EXPECT_EQ(Dag->Cost, 6);
-  EXPECT_EQ(Dag->Text, Term->Text);
+  EGraph &G = F.graph();
+  FunctionId Num = 0;
+  ASSERT_TRUE(G.lookupFunctionName("Num", Num));
+  for (int64_t I = 100; I < 2600; ++I) {
+    Value Arg = G.mkI64(I), Out;
+    ASSERT_TRUE(G.getOrCreate(Num, &Arg, Out));
+  }
+  ASSERT_TRUE(F.execute("(extract e)")) << F.error(); // warm the index
+
+  Value E;
+  ASSERT_TRUE(F.evalGround("e", E));
+  uint64_t Root = G.unionFind().find(E.Bits);
+  size_t SortRows = 0, Occurrences = 0;
+  for (FunctionId Func = 0; Func < G.numFunctions(); ++Func) {
+    const FunctionInfo &Info = G.function(Func);
+    if (Info.Decl.OutSort != E.Sort)
+      continue;
+    for (size_t Row : Info.Storage->liveRows()) {
+      ++SortRows;
+      for (unsigned Col = 0; Col < Info.Storage->rowWidth(); ++Col)
+        if (G.sorts().isIdSort(Info.Storage->cell(Row, Col).Sort) &&
+            G.unionFind().find(Info.Storage->cell(Row, Col).Bits) == Root) {
+          ++Occurrences;
+          break;
+        }
+    }
+  }
+  ASSERT_GE(SortRows, 2000u);
+
+  G.governor().setCheckpointInterval(1);
+  failpoints::arm("extract.variants", 0);
+  ASSERT_TRUE(F.execute("(extract e 3)")) << F.error();
+  uint64_t Walked = failpoints::hits();
+  failpoints::disarm();
+  // The warm-up's term, then one variant per producer: both Add rows and
+  // the defined name.
+  ASSERT_EQ(F.outputs().size(), 4u);
+  EXPECT_EQ(F.outputs().back(), "e");
+  EXPECT_GE(Walked, 3u);
+  EXPECT_LE(Walked, Occurrences);
 }
+
+#endif // EGGLOG_FAILPOINTS_ENABLED
+
+//===----------------------------------------------------------------------===
+// Merge hand-over
+//===----------------------------------------------------------------------===
 
 TEST(ExtractTest, TiedCostMergeFoldCannotCreateRenderCycle) {
   // Regression: with a 0-cost constructor, merging two classes of EQUAL
@@ -409,7 +447,7 @@ TEST(ExtractTest, PendingHandOverIsCountedAndDroppedOnInvalidate) {
 }
 
 TEST(ExtractTest, SelfReferentialVariantChargesChildSubtree) {
-  // (Neg root) lies in root's own class; its DAG cost must include the
+  // (Neg root) lies in root's own class; its cost must include the
   // rendered child subtree (the class's best term), not skip it.
   Frontend F;
   ASSERT_TRUE(F.execute(R"(
@@ -422,10 +460,9 @@ TEST(ExtractTest, SelfReferentialVariantChargesChildSubtree) {
   std::vector<ExtractedTerm> Variants = extractVariants(F.graph(), Root, 4);
   ASSERT_EQ(Variants.size(), 2u);
   EXPECT_EQ(Variants[0].Text, "(Num 0)");
-  EXPECT_EQ(Variants[0].DagCost, 2); // Num + base constant
+  EXPECT_EQ(Variants[0].Cost, 2); // Num + base constant
   EXPECT_EQ(Variants[1].Text, "(Neg (Num 0))");
-  EXPECT_EQ(Variants[1].Cost, 3);
-  EXPECT_EQ(Variants[1].DagCost, 3); // Neg + the (Num 0) subtree
+  EXPECT_EQ(Variants[1].Cost, 3); // Neg + the (Num 0) subtree
 }
 
 //===----------------------------------------------------------------------===
@@ -554,6 +591,8 @@ private:
   size_t ContextDepth = 0;
   std::vector<size_t> ValueMarks;
   std::mt19937 Rng;
+  /// Index counters and union count at the previous check.
+  uint64_t LastFullRebuilds = 0, LastMergesFolded = 0, LastUnions = 0;
 
   size_t pick(size_t N) { return Rng() % N; }
 
@@ -643,6 +682,18 @@ private:
     // Infinity in the index too.
     ExtractIndex &Idx = G.extractIndex();
     Idx.refresh(G);
+    // While the index stays valid (no scratch rebuild since the last
+    // check), rebuild hands it exactly one loser per effective union, and
+    // each is folded once.
+    const ExtractIndex::Stats &S = Idx.stats();
+    uint64_t Unions = G.unionFind().unionCount();
+    if (S.FullRebuilds == LastFullRebuilds) {
+      EXPECT_EQ(S.MergesFolded - LastMergesFolded, Unions - LastUnions)
+          << "a merge hand-over was lost or folded twice";
+    }
+    LastFullRebuilds = S.FullRebuilds;
+    LastMergesFolded = S.MergesFolded;
+    LastUnions = Unions;
     for (const auto &[Class, Cost] : Reference) {
       EXPECT_EQ(Idx.costOf(G, Value(Sort, Class)), Cost)
           << "class " << Class << " diverged";

@@ -69,8 +69,7 @@ std::string probeExtract(Frontend &F, const std::string &Expr) {
   std::optional<ExtractedTerm> Term = extractTerm(F.graph(), V);
   if (!Term)
     return "<no-term>";
-  return Term->Text + " $" + std::to_string(Term->Cost) + "/" +
-         std::to_string(Term->DagCost);
+  return Term->Text + " $" + std::to_string(Term->Cost);
 }
 
 /// A script whose commands all succeed on a clean run, covering run,
@@ -203,8 +202,8 @@ TEST(FaultInjectionTest, SiteFilterOnlyFiresAtThatSite) {
 
 TEST(FaultInjectionTest, VariantScanReachesAGovernorCheckpoint) {
   // With the index warm, (extract e n) does no refresh work; its only
-  // checkpoint is the scan over the sort's live rows, so a fault armed
-  // there proves a timeout or cancel can stop that scan.
+  // checkpoint is the walk over the class's occurrence lists, so a fault
+  // armed there proves a timeout or cancel can stop that walk.
   DisarmGuard Guard;
   Frontend F;
   ASSERT_TRUE(F.execute("(datatype M (Num i64) (Add M M))"

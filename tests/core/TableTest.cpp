@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <unordered_map>
@@ -100,6 +101,47 @@ TEST(TableTest, DistinguishesSorts) {
   T.insert(KeyA, v(1), 0);
   EXPECT_FALSE(T.lookup(KeyB).has_value())
       << "same bits under a different sort is a different key";
+}
+
+TEST(TableTest, OccurrenceWalkLeavesTheListInPlace) {
+  // forEachOccurrence reads an id's live rows (key or output column) and
+  // keeps the list; takeOccurrences consumes it.
+  Table T(1);
+  T.setIdColumns({0, 1});
+  Value K1[1] = {v(1)}, K2[1] = {v(2)}, K5[1] = {v(5)}, K4[1] = {v(4)};
+  T.insert(K1, v(5), 0); // row 0: output 5
+  T.insert(K2, v(5), 0); // row 1: output 5, killed below
+  T.insert(K5, v(3), 0); // row 2: key 5
+  T.insert(K4, v(6), 0); // row 3: no 5
+  ASSERT_TRUE(T.erase(K2));
+  auto Walk = [&](uint64_t Id) {
+    std::vector<uint32_t> Rows;
+    EXPECT_TRUE(T.forEachOccurrence(Id, [&](uint32_t Row) {
+      Rows.push_back(Row);
+      return true;
+    }));
+    std::sort(Rows.begin(), Rows.end());
+    return Rows;
+  };
+  EXPECT_EQ(Walk(5), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(Walk(5), (std::vector<uint32_t>{0, 2})) << "the walk consumed";
+  EXPECT_TRUE(Walk(1000).empty());
+  // Rows appended after a walk are caught up by the next one.
+  Value K7[1] = {v(7)};
+  T.insert(K7, v(5), 0); // row 4
+  EXPECT_EQ(Walk(5), (std::vector<uint32_t>{0, 2, 4}));
+  // A visitor returning false stops the walk.
+  size_t Visited = 0;
+  EXPECT_FALSE(T.forEachOccurrence(5, [&](uint32_t) {
+    ++Visited;
+    return false;
+  }));
+  EXPECT_EQ(Visited, 1u);
+  std::vector<uint32_t> Taken;
+  T.takeOccurrences(5, Taken);
+  std::sort(Taken.begin(), Taken.end());
+  EXPECT_EQ(Taken, (std::vector<uint32_t>{0, 2, 4}));
+  EXPECT_TRUE(Walk(5).empty());
 }
 
 /// Property sweep: the table agrees with a std::unordered_map oracle under
@@ -327,8 +369,8 @@ TEST(TableColumnarTest, NestedMarkRollbackRoundTrip) {
 
 TEST(TableTest, LiveHashMatchesSweepAcrossNestedRollbacks) {
   // liveHash() is kept incrementally (append adds a row's hash, kill
-  // subtracts it, a mark restores it); after every step it must equal a
-  // from-scratch sweep of the live rows.
+  // subtracts it, a mark restores it); after every step it, and the live
+  // count, must equal a from-scratch sweep of the live rows.
   constexpr egglog::FunctionId Func = 7;
   std::mt19937 Rng(20);
   Table T(2, Func);
@@ -368,6 +410,12 @@ TEST(TableTest, LiveHashMatchesSweepAcrossNestedRollbacks) {
     }
     ASSERT_EQ(T.liveHash(), egglog::oracle::referenceTableHash(T, Func))
         << "step " << Step;
+    // liveCount() is derived from the kill journal; it must match the
+    // sweep too.
+    size_t Swept = 0;
+    for (size_t Row = 0; Row < T.rowCount(); ++Row)
+      Swept += T.isLive(Row);
+    ASSERT_EQ(T.liveCount(), Swept) << "step " << Step;
   }
   // The function id seeds every row hash: the same rows stored for
   // another function hash differently.

@@ -20,7 +20,8 @@
 // After every run the engine's incremental ExtractIndex must also give
 // every class the cost of the from-scratch fixpoint
 // (extractCostsReference), over whatever history of runs, unions, pushes
-// and pops the program had.
+// and pops the program had; and while the index stayed valid, it must have
+// folded exactly one handed-over loser per effective union.
 //
 // After every command (runs, pushes and pops included) both sides'
 // incrementally kept liveContentHash must equal a full sweep
@@ -119,9 +120,17 @@ std::string compare(Frontend &E, Frontend &R) {
   return "";
 }
 
+/// Extraction index counters and the union count at one check.
+struct FoldMark {
+  uint64_t FullRebuilds = 0;
+  uint64_t MergesFolded = 0;
+  uint64_t Unions = 0;
+};
+
 /// Describes the first class whose ExtractIndex cost differs from the
-/// from-scratch reference, or returns the empty string.
-std::string extractCostMismatch(EGraph &G) {
+/// from-scratch reference, or a merge hand-over lost since the check that
+/// left \p Last, or returns the empty string.
+std::string extractCostMismatch(EGraph &G, FoldMark &Last) {
   const SortId *IdSort = nullptr;
   for (FunctionId F = 0; F < G.numFunctions() && !IdSort; ++F)
     if (G.sorts().isIdSort(G.function(F).Decl.OutSort))
@@ -130,6 +139,19 @@ std::string extractCostMismatch(EGraph &G) {
     return "";
   ExtractIndex &Idx = G.extractIndex();
   Idx.refresh(G);
+  // While the index stays valid (no scratch rebuild since the last check),
+  // rebuild hands it exactly one loser per effective union, and each is
+  // folded once.
+  FoldMark Now{Idx.stats().FullRebuilds, Idx.stats().MergesFolded,
+               G.unionFind().unionCount()};
+  FoldMark Prev = Last;
+  Last = Now;
+  if (Now.FullRebuilds == Prev.FullRebuilds &&
+      Now.MergesFolded - Prev.MergesFolded != Now.Unions - Prev.Unions)
+    return "merges folded " +
+           std::to_string(Now.MergesFolded - Prev.MergesFolded) +
+           " since the last check, unions " +
+           std::to_string(Now.Unions - Prev.Unions);
   std::unordered_map<uint64_t, int64_t> Reference = extractCostsReference(G);
   for (uint64_t Id = 0; Id < G.unionFind().size(); ++Id) {
     auto It = Reference.find(G.unionFind().find(Id));
@@ -155,6 +177,7 @@ std::string programText(const std::vector<GenCommand> &Program) {
 void checkSeed(uint32_t Seed) {
   std::vector<GenCommand> Program = ProgramGen(Seed).generate();
   Frontend E, R;
+  FoldMark Folds;
   if (Seed % 4 == 0)
     E.engine().setThreads(4);
   for (size_t K = 0; K < Program.size(); ++K) {
@@ -182,7 +205,7 @@ void checkSeed(uint32_t Seed) {
       continue;
     std::string Diff = compare(E, R);
     ASSERT_TRUE(Diff.empty()) << Diff << "\n" << Where();
-    std::string Costs = extractCostMismatch(E.graph());
+    std::string Costs = extractCostMismatch(E.graph(), Folds);
     ASSERT_TRUE(Costs.empty()) << Costs << "\n" << Where();
   }
 }
