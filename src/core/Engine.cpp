@@ -74,28 +74,17 @@ const std::vector<AtomFilter> NoFilters;
 
 } // namespace
 
-void Engine::ensureVariantExecutors() {
-  if (VariantExecutors.size() == Rules.size())
-    return;
-  VariantExecutors.clear();
-  VariantExecutors.reserve(Rules.size());
-  RuleParallelSafe.clear();
-  RuleParallelSafe.reserve(Rules.size());
-  for (const Rule &R : Rules) {
-    // A rule always has slot 0, the full search's context.
-    size_t NumAtoms = R.Body.Atoms.size();
-    std::vector<Variant> Variants(std::max<size_t>(1, NumAtoms));
-    for (size_t V = 0; V < NumAtoms; ++V)
-      makeDeltaVariantFilters(Variants[V].Filters, V, NumAtoms);
-    VariantExecutors.push_back(std::move(Variants));
-    RuleParallelSafe.push_back(queryIsParallelSafe(Graph, R.Body));
-  }
-}
-
 size_t Engine::addRule(Rule R) {
   assert(R.Ruleset < RulesetNames.size() && "rule names an unknown ruleset");
-  Rules.push_back(std::move(R));
+  const Query &Body = Rules.emplace_back(std::move(R)).Body;
   States.push_back(RuleState{});
+  // A rule always has slot 0, the full search's context.
+  size_t NumAtoms = Body.Atoms.size();
+  RuleExecutors &Exec = Executors.emplace_back();
+  Exec.Variants.resize(std::max<size_t>(1, NumAtoms));
+  for (size_t V = 0; V < NumAtoms; ++V)
+    makeDeltaVariantFilters(Exec.Variants[V].Filters, V, NumAtoms);
+  Exec.ParallelSafe = queryIsParallelSafe(Graph, Body);
   return Rules.size() - 1;
 }
 
@@ -205,13 +194,13 @@ bool Engine::step(const RunOptions &Options, const Deadline &Due,
     for (size_t V = 0; V < NumVariants; ++V) {
       WorkItem Item;
       Item.Rule = R;
-      std::unique_ptr<QueryExecutor> &Exec = VariantExecutors[R][V].Exec;
-      if (!Exec)
-        Exec = std::make_unique<QueryExecutor>(Graph, Body);
-      Item.Exec = Exec.get();
+      Variant &Var = Executors[R].Variants[V];
+      if (!Var.Exec)
+        Var.Exec = std::make_unique<QueryExecutor>(Graph, Body);
+      Item.Exec = Var.Exec.get();
       if (Incremental) {
         Item.Bound = State.DeltaStart;
-        Item.Filters = &VariantExecutors[R][V].Filters;
+        Item.Filters = &Var.Filters;
       }
       Items.push_back(std::move(Item));
     }
@@ -275,7 +264,7 @@ bool Engine::step(const RunOptions &Options, const Deadline &Due,
   std::vector<size_t> PoolItems;
   PoolItems.reserve(Items.size());
   for (size_t I = 0; I < Items.size(); ++I) {
-    if (RuleParallelSafe[Items[I].Rule])
+    if (Executors[Items[I].Rule].ParallelSafe)
       PoolItems.push_back(I);
     else
       RunItem(Items[I]);
@@ -293,59 +282,50 @@ bool Engine::step(const RunOptions &Options, const Deadline &Due,
     return StopHere();
   }
 
-  // Per-rule totals drive BackOff and the semi-naïve bookkeeping. A
-  // rule over its threshold has its matches dropped and is banned; its
-  // DeltaStart is left untouched so the dropped work is re-derived
-  // after the ban.
-  std::vector<uint64_t> RuleTotal(Rules.size(), 0);
-  std::vector<char> RuleRan(Rules.size(), 0);
-  for (const WorkItem &Item : Items) {
-    RuleTotal[Item.Rule] += Item.Count;
-    RuleRan[Item.Rule] = 1;
-  }
-  std::vector<char> RuleDropped(Rules.size(), 0);
-  for (size_t R = 0; R < Rules.size(); ++R) {
-    if (!RuleRan[R])
-      continue;
+  //=== Apply phase: the only phase that mutates the database. =============
+  // Items drain in (rule, variant, match) order whatever the thread
+  // count, so mutation order cannot depend on it. Each rule's items are
+  // one run: their total decides BackOff first. A rule over its threshold
+  // has its matches dropped and is banned; its DeltaStart is left
+  // untouched so the dropped work is re-derived after the ban.
+  Phase.reset();
+  uint32_t NextDeltaStart = Graph.timestamp() + 1;
+  Graph.bumpTimestamp();
+  std::vector<Value> Env;
+  for (size_t First = 0, Last = 0; First < Items.size(); First = Last) {
+    size_t R = Items[First].Rule;
+    uint64_t Total = 0;
+    for (Last = First; Last < Items.size() && Items[Last].Rule == R; ++Last)
+      Total += Items[Last].Count;
     RuleState &State = States[R];
-    if (RuleTotal[R] > RuleThreshold(R)) {
+    if (Total > RuleThreshold(R)) {
       uint64_t BanSpan = Options.BackoffBanLength << State.TimesBanned;
       State.BannedUntil = GlobalIteration + BanSpan;
       ++State.TimesBanned;
       AnyBanned = true;
-      RuleDropped[R] = 1;
+      for (size_t I = First; I < Last; ++I)
+        std::vector<Value>().swap(Items[I].Arena);
       continue;
     }
-    State.DeltaStart = Graph.timestamp() + 1;
-    Stats.Matches += RuleTotal[R];
-  }
-  for (WorkItem &Item : Items)
-    if (RuleDropped[Item.Rule])
-      std::vector<Value>().swap(Item.Arena);
-
-  //=== Apply phase: the only phase that mutates the database. =============
-  // Items drain in (rule, variant, match) order whatever the thread
-  // count, so mutation order cannot depend on it.
-  Phase.reset();
-  Graph.bumpTimestamp();
-  std::vector<Value> Env;
-  for (const WorkItem &Item : Items) {
-    if (RuleDropped[Item.Rule])
-      continue;
-    const Rule &TheRule = Rules[Item.Rule];
+    State.DeltaStart = NextDeltaStart;
+    Stats.Matches += Total;
+    const Rule &TheRule = Rules[R];
     size_t Stride = TheRule.Body.NumVars;
-    for (size_t M = 0; M < Item.Count; ++M) {
-      if (!Graph.governorCheckpoint("apply.match"))
-        return StopHere();
-      const Value *Match = Item.Arena.data() + M * Stride;
-      Env.assign(Match, Match + Stride);
-      Env.resize(TheRule.NumSlots);
-      if (!Graph.runActions(TheRule.Actions, Env)) {
-        if (Graph.failed())
+    for (size_t I = First; I < Last; ++I) {
+      const WorkItem &Item = Items[I];
+      for (size_t M = 0; M < Item.Count; ++M) {
+        if (!Graph.governorCheckpoint("apply.match"))
           return StopHere();
-        // A failed action (e.g. primitive failure) only abandons this
-        // match, mirroring guarded rewrites.
-        Graph.clearError();
+        const Value *Match = Item.Arena.data() + M * Stride;
+        Env.assign(Match, Match + Stride);
+        Env.resize(TheRule.NumSlots);
+        if (!Graph.runActions(TheRule.Actions, Env)) {
+          if (Graph.failed())
+            return StopHere();
+          // A failed action (e.g. primitive failure) only abandons this
+          // match, mirroring guarded rewrites.
+          Graph.clearError();
+        }
       }
     }
   }
@@ -499,11 +479,6 @@ RunReport Engine::run(const RunOptions &Options) {
 RunReport Engine::runSchedule(const Schedule &S, const RunOptions &Options) {
   Timer Clock;
   Deadline Due = deadlineAfter(Options.TimeoutSeconds);
-  // (Re)create the execution contexts if rules were added since the last
-  // run (Rules may have reallocated, invalidating the Query references
-  // the executors hold; a size mismatch is the only way that happens —
-  // restore() clears them outright).
-  ensureVariantExecutors();
   if (!Pool)
     Pool = std::make_unique<ThreadPool>(NumThreads);
 
@@ -534,10 +509,9 @@ Engine::Snapshot Engine::snapshot() const {
 void Engine::restore(const Snapshot &S) {
   assert(S.NumRules <= Rules.size() && S.NumRules == S.States.size() &&
          "snapshot is from a different engine");
-  // Executors reference Query objects inside Rules; drop them before the
-  // rules so the next run rebuilds fresh contexts.
-  VariantExecutors.clear();
-  RuleParallelSafe.clear();
+  // The dropped rules' executors reference their Query objects: drop them
+  // first. The surviving rules keep theirs, and no rule moves.
+  Executors.resize(S.NumRules);
   Rules.resize(S.NumRules);
   States = S.States;
   for (size_t Id = RulesetNames.size(); Id > S.NumRulesets; --Id)

@@ -29,6 +29,7 @@
 #include "core/Query.h"
 
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -179,7 +180,9 @@ public:
 
 private:
   EGraph &Graph;
-  std::vector<Rule> Rules;
+  /// A deque, so adding or dropping rules never moves the surviving ones:
+  /// each rule's executors reference its Query in place.
+  std::deque<Rule> Rules;
   std::vector<RuleState> States;
   std::vector<std::string> RulesetNames;
   std::unordered_map<std::string, RulesetId> RulesetIds;
@@ -198,17 +201,20 @@ private:
     std::vector<AtomFilter> Filters;
     std::unique_ptr<QueryExecutor> Exec;
   };
-  /// Per rule, one Variant per body atom; slot 0's context doubles as the
-  /// full (non-incremental) search's. Rebuilt by runSchedule() whenever
-  /// rules were added (Rules may have reallocated).
-  std::vector<std::vector<Variant>> VariantExecutors;
-  /// Per rule: true if every primitive in its query is read-only (cannot
-  /// intern values or canonicalize), so its joins may run on the pool;
-  /// unsafe rules join serially before the pool's job.
-  std::vector<char> RuleParallelSafe;
+  /// What the engine derives from one rule. addRule builds it, and it
+  /// lives exactly as long as the rule: restore() truncates it with Rules.
+  struct RuleExecutors {
+    /// One Variant per body atom; slot 0's context doubles as the full
+    /// (non-incremental) search's.
+    std::vector<Variant> Variants;
+    /// True if every primitive in the rule's query is read-only (cannot
+    /// intern values or canonicalize), so its joins may run on the pool;
+    /// unsafe rules join serially before the pool's job.
+    bool ParallelSafe = false;
+  };
+  /// Parallel to Rules.
+  std::vector<RuleExecutors> Executors;
 
-  /// (Re)creates VariantExecutors/RuleParallelSafe for the current rules.
-  void ensureVariantExecutors();
   /// Global iteration counter across runs (drives ban spans).
   uint64_t GlobalIteration = 0;
 

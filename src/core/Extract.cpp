@@ -439,25 +439,34 @@ std::vector<ExtractedTerm> egglog::extractVariants(EGraph &Graph, Value V,
   }
   // Cheapest first; (Func, Row) tiebreak keeps the order deterministic so
   // repeated calls with growing MaxVariants return consistent prefixes.
-  std::sort(Candidates.begin(), Candidates.end(),
-            [](const Candidate &A, const Candidate &B) {
-              return std::tie(A.Cost, A.Func, A.Row) <
-                     std::tie(B.Cost, B.Func, B.Row);
-            });
+  // Only a growing prefix is ordered: the first MaxVariants candidates,
+  // then twice as many of the rest each time duplicates leave the answer
+  // short. A class can hold a large share of the database, and most
+  // requests stop within the first prefix.
+  auto Cheaper = [](const Candidate &A, const Candidate &B) {
+    return std::tie(A.Cost, A.Func, A.Row) < std::tie(B.Cost, B.Func, B.Row);
+  };
 
   // Distinct rows can render identically after canonicalization; a hash
   // set keeps dedup linear in the rendered text. One scratch stack serves
   // every rendering.
   std::unordered_set<std::string> Seen;
   std::vector<RenderItem> Stack;
-  for (const Candidate &C : Candidates) {
-    if (Variants.size() >= MaxVariants)
-      break;
-    std::string Text;
-    renderRow(Graph, Idx, C.Func, C.Row, Stack, Text);
-    if (!Seen.insert(Text).second)
-      continue;
-    Variants.push_back(ExtractedTerm{std::move(Text), C.Cost});
+  size_t Sorted = 0;
+  size_t Batch = MaxVariants;
+  while (Variants.size() < MaxVariants && Sorted < Candidates.size()) {
+    size_t End = Sorted + std::min(Batch, Candidates.size() - Sorted);
+    std::partial_sort(Candidates.begin() + Sorted, Candidates.begin() + End,
+                      Candidates.end(), Cheaper);
+    for (; Sorted < End && Variants.size() < MaxVariants; ++Sorted) {
+      const Candidate &C = Candidates[Sorted];
+      std::string Text;
+      renderRow(Graph, Idx, C.Func, C.Row, Stack, Text);
+      if (!Seen.insert(Text).second)
+        continue;
+      Variants.push_back(ExtractedTerm{std::move(Text), C.Cost});
+    }
+    Batch = std::min(Batch, Candidates.size()) * 2;
   }
   return Variants;
 }

@@ -1072,12 +1072,17 @@ bool parseTables(Staging &St, SpanReader &R, EggError &Err) {
     if (Rows > R.remaining() / (4 + 12ull * Width))
       return sectionFail(Err, SecTables, "truncated payload");
     std::vector<Value> Raw(Width), Cells(Width);
+    uint32_t LastStamp = 0;
     for (uint64_t Row = 0; Row < Rows; ++Row) {
       uint32_t Stamp;
       if (!R.readU32(Stamp))
         return sectionFail(Err, SecTables, "truncated payload");
       if (Stamp > St.Meta.Timestamp)
         return sectionFail(Err, SecTables, "row stamp from the future");
+      // Rows are saved in row order, whose stamps never decrease.
+      if (Stamp < LastStamp)
+        return sectionFail(Err, SecTables, "row stamps out of order");
+      LastStamp = Stamp;
       for (unsigned I = 0; I < Width; ++I) {
         Value V;
         if (!R.readValue(V))

@@ -31,20 +31,13 @@ IndexCache &Table::indexes() const {
 }
 
 size_t Table::liveCountAtLeast(uint32_t Bound) const {
+  // Stamps never decrease in row order, so only the (typically small)
+  // suffix of rows stamped at or after the bound needs a liveness scan.
   size_t Count = 0;
-  if (StampsSorted) {
-    // Only the (typically small) suffix of rows stamped at or after the
-    // bound needs a liveness scan.
-    size_t First =
-        std::lower_bound(Stamps.begin(), Stamps.end(), Bound) -
-        Stamps.begin();
-    for (size_t Row = First; Row < Stamps.size(); ++Row)
-      if (Live[Row])
-        ++Count;
-    return Count;
-  }
-  for (size_t Row : liveRows())
-    if (Stamps[Row] >= Bound)
+  size_t First =
+      std::lower_bound(Stamps.begin(), Stamps.end(), Bound) - Stamps.begin();
+  for (size_t Row = First; Row < Stamps.size(); ++Row)
+    if (Live[Row])
       ++Count;
   return Count;
 }
@@ -155,8 +148,8 @@ size_t Table::appendRow(const Value *Keys, Value Out, uint32_t Stamp) {
   for (unsigned I = 0; I < NumKeys; ++I)
     Columns[I].push_back(Keys[I]);
   Columns[NumKeys].push_back(Out);
-  if (!Stamps.empty() && Stamp < Stamps.back())
-    StampsSorted = false;
+  assert((Stamps.empty() || Stamps.back() <= Stamp) &&
+         "row stamps must not decrease");
   Stamps.push_back(Stamp);
   Live.push_back(true);
   LiveHash += contentHash(NewRow);
@@ -279,7 +272,6 @@ void Table::rollbackTo(const TxnMark &M) {
   Stamps.resize(M.Rows);
   Live.resize(M.Rows);
   LiveHash = M.LiveHash;
-  StampsSorted = M.StampsSorted;
   ++Version;
 
   // Rebuild the key index from the surviving live rows and drop

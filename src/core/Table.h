@@ -65,10 +65,13 @@ public:
   /// Returns the row index holding \p Keys, or -1.
   int64_t findRow(const Value *Keys) const;
 
-  /// Inserts keys -> Out with the given timestamp. If the key was present,
-  /// the old row is killed, the old output returned, and the new row
-  /// appended (even if the output is unchanged the row is refreshed only
-  /// when \p Out differs, to keep deltas small).
+  /// Inserts keys -> Out with the given timestamp, which must be no lower
+  /// than the last row's: stamps never decrease in row order (the engine
+  /// stamps with its clock, rollback truncates back to a restored clock,
+  /// and the snapshot loader rejects a decreasing section). If the key was
+  /// present, the old row is killed, the old output returned, and the new
+  /// row appended (even if the output is unchanged the row is refreshed
+  /// only when \p Out differs, to keep deltas small).
   ///
   /// \returns the previous output if the key existed with a different
   /// output; nullopt if this was a fresh key or the output was identical.
@@ -247,11 +250,10 @@ public:
     size_t Rows = 0;
     size_t KillLogSize = 0;
     uint64_t LiveHash = 0;
-    bool StampsSorted = true;
   };
 
   TxnMark txnMark() const {
-    return TxnMark{Stamps.size(), KillLog.size(), LiveHash, StampsSorted};
+    return TxnMark{Stamps.size(), KillLog.size(), LiveHash};
   }
 
   /// Rolls the table back to \p M. The row data, key index and cached
@@ -275,10 +277,6 @@ private:
   /// See liveHash().
   uint64_t LiveHash = 0;
   uint64_t Version = 0;
-  /// True while Stamps is non-decreasing in append order (always the case
-  /// under the engine's monotonic timestamp); enables a binary search in
-  /// liveCountAtLeast.
-  bool StampsSorted = true;
   /// Row indexes killed, in kill order (truncated by rollback). Always on
   /// (4 bytes per kill) so transactions and contexts can roll kills back
   /// without a bitmap copy; its length is killCount().

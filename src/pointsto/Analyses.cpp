@@ -17,22 +17,6 @@
 using namespace egglog;
 using namespace egglog::pointsto;
 
-const char *egglog::pointsto::systemName(System S) {
-  switch (S) {
-  case System::Egglog:
-    return "egglog";
-  case System::EgglogNI:
-    return "egglogNI";
-  case System::EqRelEncoding:
-    return "eqrel";
-  case System::CClyzer:
-    return "cclyzer++";
-  case System::Patched:
-    return "patched";
-  }
-  return "?";
-}
-
 size_t AnalysisResult::numClasses() const {
   std::set<uint32_t> Roots(AllocClass.begin(), AllocClass.end());
   return Roots.size();

@@ -51,8 +51,6 @@ enum class System {
   Patched,
 };
 
-const char *systemName(System S);
-
 /// Canonical analysis outcome plus timing.
 struct AnalysisResult {
   bool TimedOut = false;

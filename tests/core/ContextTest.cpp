@@ -356,3 +356,63 @@ TEST(ContextTest, PopKeepsUntouchedTablesIndexesWarm) {
   ASSERT_EQ(Indexes.get(Perm, AtomFilter::All, 0).size(), 3u);
   EXPECT_EQ(Indexes.stats().Builds, Builds);
 }
+
+TEST(ContextTest, RuleExecutorsLiveAsLongAsTheirRules) {
+  // A rule's executors are built when the rule is added and reference its
+  // query in place, so they must survive later rules being added, a pop
+  // that drops only the context's rules, and a failed command's rollback.
+  // After each step the database equals a fresh frontend's that replays
+  // only the commands still in effect.
+  Frontend F;
+  F.graph().governor().setCheckpointInterval(16);
+  std::vector<std::string> Kept;
+  size_t PushedAt = 0;
+  auto Step = [&](const std::string &Command) {
+    ASSERT_TRUE(F.execute(Command)) << Command << ": " << F.error();
+    if (Command == "(push)")
+      PushedAt = Kept.size();
+    else if (Command == "(pop)")
+      Kept.resize(PushedAt);
+    else
+      Kept.push_back(Command);
+    Frontend Fresh;
+    for (const std::string &Replayed : Kept)
+      ASSERT_TRUE(Fresh.execute(Replayed)) << Replayed << ": "
+                                           << Fresh.error();
+    EXPECT_EQ(F.graph().liveContentHash(), Fresh.graph().liveContentHash())
+        << "after " << Command;
+  };
+  auto MoreRules = [](int First, int Count) {
+    std::string Rules;
+    for (int K = First; K < First + Count; ++K)
+      Rules += "(rule ((path x y) (edge y z)) ((path x z) (hit " +
+               std::to_string(K) + " z)))\n";
+    return Rules;
+  };
+
+  Step("(relation edge (i64 i64)) (relation path (i64 i64)) "
+       "(relation hit (i64 i64))");
+  Step("(edge 1 2) (edge 2 3) (edge 3 4) (edge 4 5) (edge 5 1)");
+  Step("(rule ((edge x y)) ((path x y)))");
+  Step("(run 2)");
+  Step(MoreRules(0, 64));
+  Step("(run 2)");
+
+  Step("(push)");
+  Step(MoreRules(64, 8));
+  Step("(edge 5 6)");
+  Step("(run 3)");
+  Step("(pop)");
+  Step(MoreRules(64, 2));
+  Step("(run 2)");
+
+  // A failed command rolls back to its own mark, after which the run's
+  // executors keep serving the same rules.
+  Step("(edge 5 6) (edge 6 7)");
+  size_t Ceiling = F.graph().liveTupleCount() + 4;
+  EXPECT_FALSE(F.execute("(set-option :max-nodes " + std::to_string(Ceiling) +
+                         ") (run 100)"));
+  EXPECT_EQ(F.lastError().Kind, ErrKind::Limit) << F.error();
+  Step("(set-option :max-nodes 0)");
+  Step("(run 100)");
+}

@@ -12,7 +12,8 @@
 //    and leave the live database untouched,
 //  - a fault sweep over the writer's "snapshot.write" failpoint: a crash
 //    at any write step must leave the previous on-disk snapshot intact,
-//  - structural rejections: version skew and declaration mismatch,
+//  - structural rejections: version skew, declaration mismatch and
+//    decreasing row stamps,
 //  - a warm start of a saturated Fig. 8 points-to database that must
 //    reproduce the cold fixpoint exactly.
 //
@@ -369,6 +370,69 @@ TEST(SnapshotTest, VersionSkewIsRejected) {
   EXPECT_NE(V.F.error().find("unsupported snapshot version"),
             std::string::npos)
       << V.F.error();
+  std::remove(Path.c_str());
+}
+
+TEST(SnapshotTest, DecreasingRowStampsAreRejected) {
+  // Stamps never decrease in row order, and the loader holds a file to
+  // that: a row stamped below its predecessor (both still no later than
+  // the saved clock, and the content hash is over cells only) is refused
+  // once both checksums are repaired.
+  const std::string Path = tmpPath("snap_stamps.snap");
+  Frontend F;
+  ASSERT_TRUE(F.execute("(relation r (i64)) (run 1) (r 1) (run 1) (r 2)"))
+      << F.error();
+  FunctionId R = 0;
+  ASSERT_TRUE(F.graph().lookupFunctionName("r", R));
+  const Table &T = *F.graph().function(R).Storage;
+  ASSERT_EQ(T.rowCount(), 2u);
+  uint32_t FirstStamp = T.stamp(0);
+  ASSERT_GT(FirstStamp, 0u);
+  ASSERT_LT(FirstStamp, T.stamp(1));
+  StateFingerprint Before = fingerprint(F);
+  ASSERT_TRUE(F.execute("(save \"" + Path + "\")")) << F.error();
+  std::vector<unsigned char> Bytes = readBytes(Path);
+
+  auto ReadLE = [&](size_t Off, int Width) {
+    uint64_t V = 0;
+    for (int I = 0; I < Width; ++I)
+      V |= uint64_t(Bytes[Off + static_cast<size_t>(I)]) << (8 * I);
+    return V;
+  };
+  auto WriteU32 = [&](size_t Off, uint32_t V) {
+    for (int I = 0; I < 4; ++I)
+      Bytes[Off + static_cast<size_t>(I)] =
+          static_cast<unsigned char>(V >> (8 * I));
+  };
+  // Find the TABLES section (id 9): a 20-byte header, then frames of id
+  // u32 | length u64 | payload | crc32c u32.
+  size_t Off = 20;
+  while (Off + 12 <= Bytes.size() && ReadLE(Off, 4) != 9)
+    Off += 12 + ReadLE(Off + 4, 8) + 4;
+  ASSERT_LE(Off + 12, Bytes.size());
+  size_t Payload = Off + 12;
+  size_t PayloadLen = ReadLE(Off + 4, 8);
+  // Payload: table count u32, then per table a row count u64 and its rows,
+  // each a stamp u32 and rowWidth() values of sort u32 | bits u64.
+  size_t Row = Payload + 4;
+  for (FunctionId G = 0; G < R; ++G) {
+    const Table &Other = *F.graph().function(G).Storage;
+    Row += 8 + Other.liveCount() * (4 + 12 * Other.rowWidth());
+  }
+  ASSERT_EQ(ReadLE(Row, 8), 2u);
+  size_t Second = Row + 8 + 4 + 12 * T.rowWidth();
+  ASSERT_EQ(ReadLE(Second, 4), T.stamp(1));
+  WriteU32(Second, FirstStamp - 1);
+  WriteU32(Payload + PayloadLen, crc32c(Bytes.data() + Payload, PayloadLen));
+  WriteU32(Bytes.size() - 4, crc32cFinish(crc32cUpdate(
+                                 crc32cInit(), Bytes.data(), Bytes.size() - 4)));
+  writeBytes(Path, Bytes);
+
+  EXPECT_FALSE(F.execute("(load \"" + Path + "\")"));
+  EXPECT_EQ(F.lastError().Kind, ErrKind::IO) << F.error();
+  EXPECT_NE(F.error().find("row stamps out of order"), std::string::npos)
+      << F.error();
+  EXPECT_EQ(fingerprint(F), Before);
   std::remove(Path.c_str());
 }
 
