@@ -297,13 +297,11 @@ Value EGraph::unionValues(Value A, Value B) {
   uint64_t RootA = UF.find(A.Bits), RootB = UF.find(B.Bits);
   if (RootA == RootB)
     return Value(A.Sort, RootA);
-  uint64_t Root = UF.unite(RootA, RootB);
-  UnionsDirty = true;
-  return Value(A.Sort, Root);
+  return Value(A.Sort, UF.unite(RootA, RootB));
 }
 
-bool EGraph::rewriteRow(FunctionId Func, size_t Row, std::vector<Value> &Buffer,
-                        bool &Rewritten) {
+bool EGraph::rewriteRow(FunctionId Func, size_t Row,
+                        std::vector<Value> &Buffer) {
   Table &T = *Functions[Func]->Storage;
   unsigned Width = T.rowWidth();
   Buffer.resize(Width);
@@ -313,13 +311,12 @@ bool EGraph::rewriteRow(FunctionId Func, size_t Row, std::vector<Value> &Buffer,
   // The row is stale: remove it and reinsert canonically (which may
   // trigger the merge expression on a collision).
   T.eraseRow(Row);
-  Rewritten = true;
   return setValue(Func, Buffer.data(), Buffer[Width - 1]);
 }
 
 bool EGraph::rebuildTable(FunctionId Func, const std::vector<uint64_t> &Dirty,
                           std::vector<uint32_t> &Rows,
-                          std::vector<Value> &Buffer, bool &TableRewritten) {
+                          std::vector<Value> &Buffer) {
   FunctionInfo &Info = *Functions[Func];
   Table &T = *Info.Storage;
   if (!Info.NeedsFullSweep && !T.trackingOccurrences())
@@ -340,40 +337,33 @@ bool EGraph::rebuildTable(FunctionId Func, const std::vector<uint64_t> &Dirty,
     Sweep = Affected * 4 > T.liveCount();
   }
   if (Sweep) {
-    // The sweep visits every row, so the per-id lists for this drain
-    // are dead weight: drop them (a consumed id never reappears).
-    if (T.trackingOccurrences())
-      for (uint64_t Id : Dirty)
-        T.dropOccurrences(Id);
     size_t Limit = T.rowCount();
     for (size_t Row = 0; Row < Limit; ++Row) {
       if (!T.isLive(Row))
         continue;
-      if (!governorCheckpoint("rebuild.row"))
+      if (!governorCheckpoint("rebuild.row") ||
+          !rewriteRow(Func, Row, Buffer))
         return false;
-      bool RowRewritten = false;
-      if (!rewriteRow(Func, Row, Buffer, RowRewritten))
-        return false;
-      if (RowRewritten)
-        TableRewritten = true;
     }
-  } else {
-    for (uint64_t Id : Dirty) {
-      Rows.clear();
-      T.takeOccurrences(Id, Rows);
-      for (uint32_t Row : Rows) {
-        // A row can die mid-drain: another dirty id already rewrote
-        // it, or a reinsertion collided with its key.
-        if (!T.isLive(Row))
-          continue;
-        if (!governorCheckpoint("rebuild.row"))
-          return false;
-        bool RowRewritten = false;
-        if (!rewriteRow(Func, Row, Buffer, RowRewritten))
-          return false;
-        if (RowRewritten)
-          TableRewritten = true;
-      }
+    return true;
+  }
+  // Each dirty id lost exactly once, in this pass, so its list is read
+  // here and never again: later passes and extractVariants see only
+  // canonical ids.
+  for (uint64_t Id : Dirty) {
+    Rows.clear();
+    T.forEachOccurrence(Id, [&](uint32_t Row) {
+      Rows.push_back(Row);
+      return true;
+    });
+    for (uint32_t Row : Rows) {
+      // A row can die mid-drain: another dirty id already rewrote it, or
+      // a reinsertion collided with its key.
+      if (!T.isLive(Row))
+        continue;
+      if (!governorCheckpoint("rebuild.row") ||
+          !rewriteRow(Func, Row, Buffer))
+        return false;
     }
   }
   return true;
@@ -384,7 +374,6 @@ unsigned EGraph::rebuild() {
   std::vector<uint64_t> Dirty;
   std::vector<uint32_t> Rows;
   std::vector<Value> Buffer;
-  std::vector<bool> Rewritten(Functions.size(), false);
   // Fixpoint over the merge worklist: each pass drains the ids that lost
   // their canonical status, rewrites exactly the rows reaching them through
   // the occurrence indexes, and loops while those rewrites merge further
@@ -398,31 +387,18 @@ unsigned EGraph::rebuild() {
     ++Passes;
     if (ExtractIdx)
       ExtractIdx->noteMerged(Dirty);
-    for (size_t F = 0; F < Functions.size(); ++F) {
-      bool TableRewritten = false;
-      bool Ok = rebuildTable(static_cast<FunctionId>(F), Dirty, Rows, Buffer,
-                             TableRewritten);
-      if (TableRewritten)
-        Rewritten[F] = true;
-      if (!Ok)
+    for (size_t F = 0; F < Functions.size(); ++F)
+      if (!rebuildTable(static_cast<FunctionId>(F), Dirty, Rows, Buffer))
         return Passes;
-    }
   }
-  UnionsDirty = false;
-  sweepRewrittenIndexes(Rewritten);
+  // Drop the stamp-partition index entries that rewrites staled. A table
+  // whose version did not move keeps them (sweepStale is a no-op there);
+  // otherwise this drops exactly what its next get() would, only sooner.
+  // The All indexes stay for incremental refresh.
+  for (const auto &Info : Functions)
+    if (Info->Storage->hasIndexCache())
+      Info->Storage->indexes().sweepStale();
   return Passes;
-}
-
-void EGraph::sweepRewrittenIndexes(const std::vector<bool> &Rewritten) {
-  // Stamp-partition indexes are dropped only for tables that actually had
-  // rows rewritten; untouched tables keep their entries, which re-validate
-  // lazily against version() on next use. The All indexes always stay for
-  // incremental refresh.
-  for (size_t F = 0; F < Rewritten.size(); ++F) {
-    Table &T = *Functions[F]->Storage;
-    if (Rewritten[F] && T.hasIndexCache())
-      T.indexes().sweepStale();
-  }
 }
 
 //===----------------------------------------------------------------------===
@@ -617,15 +593,13 @@ EGraph::TxnMark EGraph::txnBegin() {
   M.NumFunctions = Functions.size();
   M.NumPrims = Prims.size();
   M.Timestamp = Timestamp;
-  M.UnionsDirty = UnionsDirty;
   return M;
 }
 
 void EGraph::adoptContent(std::vector<std::unique_ptr<Table>> NewTables,
                           std::vector<uint64_t> UFParents,
                           std::vector<uint64_t> UFDirty, uint64_t UnionCount,
-                          uint32_t NewTimestamp,
-                          bool NewUnionsDirty) noexcept {
+                          uint32_t NewTimestamp) noexcept {
   assert(NewTables.size() == Functions.size() &&
          "adoptContent needs one staged table per declared function");
   assert(TxnDepth <= 1 && "adoptContent under an open (push) context");
@@ -633,7 +607,6 @@ void EGraph::adoptContent(std::vector<std::unique_ptr<Table>> NewTables,
     Functions[F]->Storage = std::move(NewTables[F]);
   UF.adopt(std::move(UFParents), std::move(UFDirty), UnionCount);
   Timestamp = NewTimestamp;
-  UnionsDirty = NewUnionsDirty;
   // The staged tables carry none of the old tables' index or extraction
   // state; consumers rebuild from scratch against the adopted content.
   if (ExtractIdx)
@@ -661,7 +634,6 @@ void EGraph::txnRollback(const TxnMark &M) {
     Functions[F]->Storage->rollbackTo(M.Tables[F]);
   UF.txnRollback(M.UF);
   Timestamp = M.Timestamp;
-  UnionsDirty = M.UnionsDirty;
   // An injected fault or bad_alloc can unwind past live scratch frames;
   // the frames' destructors resize the stacks on the way out, but clear
   // them anyway so a missed frame cannot leak into the next command.
@@ -684,7 +656,7 @@ size_t EGraph::approxBytes() const {
   for (const auto &Info : Functions)
     Total += Info->Storage->approxBytes();
   if (ExtractIdx)
-    Total += ExtractIdx->pendingBytes();
+    Total += ExtractIdx->approxBytes();
   return Total;
 }
 

@@ -199,8 +199,9 @@ public:
   /// worklist passes (0 when nothing was dirty).
   unsigned rebuild();
 
-  /// True if unions have happened since the last rebuild.
-  bool needsRebuild() const { return UnionsDirty; }
+  /// True if unions have happened since the last rebuild: the union-find's
+  /// worklist of losing roots is the one record of pending merges.
+  bool needsRebuild() const { return !UF.dirty().empty(); }
 
   //===--------------------------------------------------------------------===
   // Expression and action evaluation
@@ -257,9 +258,10 @@ public:
   /// probing without forcing an allocation).
   const ExtractIndex *extractIndexIfBuilt() const { return ExtractIdx.get(); }
 
-  /// Drops every cached column index (bulk invalidation). rebuild() calls
-  /// the lighter IndexCache::sweepStale() instead, preserving the All
-  /// indexes for incremental refresh.
+  /// Drops every cached column index (bulk invalidation). rebuild() instead
+  /// ends with IndexCache::sweepStale() on every cached table, which drops
+  /// only the stamp partitions of tables whose version moved and keeps the
+  /// All indexes for incremental refresh.
   void invalidateIndexes();
 
   //===--------------------------------------------------------------------===
@@ -282,7 +284,6 @@ public:
     size_t NumFunctions = 0;
     size_t NumPrims = 0;
     uint32_t Timestamp = 0;
-    bool UnionsDirty = false;
   };
 
   /// The snapshot loader's point of no return: wholesale-replaces every
@@ -297,7 +298,7 @@ public:
   void adoptContent(std::vector<std::unique_ptr<Table>> NewTables,
                     std::vector<uint64_t> UFParents,
                     std::vector<uint64_t> UFDirty, uint64_t UnionCount,
-                    uint32_t NewTimestamp, bool NewUnionsDirty) noexcept;
+                    uint32_t NewTimestamp) noexcept;
 
   /// Opens a transaction mark inside any already open. Until the outermost
   /// mark closes, union-find parent writes are journaled.
@@ -330,8 +331,8 @@ public:
   /// Immediate full poll (no amortization); reports the error on a trip.
   bool governorTripped();
 
-  /// Approximate bytes held by tables, union-find and the extraction
-  /// index's pending merge hand-over (governor ceiling).
+  /// Approximate bytes held by tables, union-find and the extraction index
+  /// (governor ceiling).
   size_t approxBytes() const;
 
   //===--------------------------------------------------------------------===
@@ -369,7 +370,6 @@ private:
   std::vector<std::unique_ptr<FunctionInfo>> Functions;
   std::unordered_map<std::string, FunctionId> FunctionNames;
   uint32_t Timestamp = 0;
-  bool UnionsDirty = false;
   bool Failed = false;
   ErrKind ErrKindValue = ErrKind::None;
   std::string ErrorMsg;
@@ -404,22 +404,13 @@ private:
   /// One table's share of a rebuild pass: the sweep heuristic, the per-id
   /// occurrence drain (or full sweep), and the row rewrites. Returns false
   /// when the pass must stop (governor checkpoint refused or merge
-  /// failure); \p TableRewritten is set if any row of this table was
-  /// rewritten either way.
+  /// failure).
   bool rebuildTable(FunctionId Func, const std::vector<uint64_t> &Dirty,
-                    std::vector<uint32_t> &Rows, std::vector<Value> &Buffer,
-                    bool &TableRewritten);
+                    std::vector<uint32_t> &Rows, std::vector<Value> &Buffer);
 
   /// Re-canonicalizes one live row (erase + reinsert through the merge
-  /// semantics). Sets \p Rewritten if the row was stale; returns false on a
-  /// merge conflict error.
-  bool rewriteRow(FunctionId Func, size_t Row, std::vector<Value> &Buffer,
-                  bool &Rewritten);
-
-  /// Drops the stamp-partition index entries of exactly the tables whose
-  /// rows were rewritten (proportional invalidation; untouched tables keep
-  /// their entries and re-validate lazily against version()).
-  void sweepRewrittenIndexes(const std::vector<bool> &Rewritten);
+  /// semantics) if it is stale; returns false on a merge conflict error.
+  bool rewriteRow(FunctionId Func, size_t Row, std::vector<Value> &Buffer);
 
   void registerSetPrimitives(SortId SetSort);
 };

@@ -73,7 +73,6 @@ void ExtractIndex::ensureIdCapacity(size_t Ids) {
     return;
   Best.resize(Ids);
   UseHead.resize(Ids, -1);
-  UseTail.resize(Ids, -1);
   QueuePending.resize(Ids, 0);
 }
 
@@ -81,20 +80,15 @@ void ExtractIndex::pushUse(uint64_t Id, uint32_t Func, uint32_t Row) {
   int32_t Node = static_cast<int32_t>(Pool.size());
   Pool.push_back(ChainNode{UseHead[Id], Func, Row});
   UseHead[Id] = Node;
-  if (UseTail[Id] < 0)
-    UseTail[Id] = Node;
 }
 
-void ExtractIndex::foldUses(uint64_t Loser, uint64_t Winner) {
-  if (UseHead[Loser] < 0)
-    return;
-  if (UseHead[Winner] < 0)
-    UseHead[Winner] = UseHead[Loser];
-  else
-    Pool[UseTail[Winner]].Next = UseHead[Loser];
-  UseTail[Winner] = UseTail[Loser];
-  UseHead[Loser] = -1;
-  UseTail[Loser] = -1;
+size_t ExtractIndex::approxBytes() const {
+  return Merged.capacity() * sizeof(uint64_t) +
+         Tables.capacity() * sizeof(TableState) +
+         Best.capacity() * sizeof(Entry) +
+         UseHead.capacity() * sizeof(int32_t) +
+         Pool.capacity() * sizeof(ChainNode) +
+         Queue.capacity() * sizeof(uint64_t) + QueuePending.capacity();
 }
 
 void ExtractIndex::consider(EGraph &Graph, uint32_t Func, uint32_t Row) {
@@ -134,14 +128,23 @@ bool ExtractIndex::foldMerges(EGraph &Graph) {
     // a from-scratch rebuild, whose adoptions are provably acyclic.
     if (L.Cost == W.Cost && W.Cost != Infinity)
       return false;
-    foldUses(Loser, Winner);
+#ifndef NDEBUG
+    // Append-only chains suffice: refresh() rebuilt first, which killed
+    // every live row keyed on the loser and appended its canonical twin,
+    // and scanSuffix chains the twins under the winner. So the loser's
+    // chain holds only dead rows.
+    for (int32_t N = UseHead[Loser]; N >= 0; N = Pool[N].Next)
+      assert(!Graph.function(Pool[N].Func).Storage->isLive(Pool[N].Row) &&
+             "live row on a merged-away class's use chain");
+#endif
     if (L.Cost < W.Cost)
       W = L;
     L = Entry{};
     // The merged class's cost is the min of the two halves, so rows using
     // either half as a child may have become cheaper: requeue the winner
-    // (its chain now holds both halves' users). No-op reconsiderations are
-    // filtered by the strict-decrease check in consider().
+    // (the suffix scan chains the loser's rewritten users under it). No-op
+    // reconsiderations are filtered by the strict-decrease check in
+    // consider().
     if (W.Cost != Infinity)
       enqueue(Winner);
     ++S.MergesFolded;
@@ -196,7 +199,6 @@ void ExtractIndex::rebuildFromScratch(EGraph &Graph) {
   Pool.clear();
   Best.clear();
   UseHead.clear();
-  UseTail.clear();
   Queue.clear();
   QueuePending.clear();
   Tables.assign(Graph.numFunctions(), TableState{});

@@ -92,19 +92,22 @@ public:
   /// Marks the cached state unusable; the next refresh recomputes from
   /// scratch. Called by the EGraph on txnRollback() (a failed command or a
   /// (pop)) and on term deletion (the only mutations under which class
-  /// costs can increase). Drops the pending hand-over, which the scratch
-  /// rebuild does not read.
+  /// costs can increase). Releases every container but the counters: the
+  /// scratch rebuild reads none of them, and an invalid index must not hold
+  /// memory against the governor's ceiling (else an extract that tripped
+  /// it and rolled back would leave the ceiling tripped).
   void invalidate() {
-    Valid = false;
-    Merged.clear();
-    Merged.shrink_to_fit();
+    Stats Kept = S;
+    *this = ExtractIndex();
+    S = Kept;
   }
   bool valid() const { return Valid; }
 
-  /// Bytes held by the pending hand-over, which grows by one id per union
-  /// until the next refresh; counted toward the governor's memory ceiling
-  /// by EGraph::approxBytes().
-  size_t pendingBytes() const { return Merged.capacity() * sizeof(uint64_t); }
+  /// Bytes held by the index: the per-id arrays, the use-chain pool, the
+  /// queue and the pending hand-over (which grows by one id per union until
+  /// the next refresh). Counted toward the governor's memory ceiling by
+  /// EGraph::approxBytes().
+  size_t approxBytes() const;
 
   const Stats &stats() const { return S; }
 
@@ -139,7 +142,9 @@ private:
   std::vector<TableState> Tables;
   /// Dense per-id state (indexed by union-find id; grown on refresh).
   std::vector<Entry> Best;
-  std::vector<int32_t> UseHead, UseTail; ///< id -> rows using it as a key
+  /// id -> rows using it as a key. Append-only: a merged-away class keeps
+  /// its chain, which by then holds only dead rows (see foldMerges).
+  std::vector<int32_t> UseHead;
   std::vector<ChainNode> Pool;
   /// Classes whose cost decreased and whose users need reconsidering.
   /// QueuePending dedups membership so a class improved t times before the
@@ -156,10 +161,9 @@ private:
     }
   }
   void pushUse(uint64_t Id, uint32_t Func, uint32_t Row);
-  void foldUses(uint64_t Loser, uint64_t Winner);
   void consider(EGraph &Graph, uint32_t Func, uint32_t Row);
-  /// Folds the handed-over losers into the winners' entries and use chains,
-  /// then clears the list. Returns false on a tied-cost fold, which could
+  /// Folds the handed-over losers into the winners' entries, then clears
+  /// the list. Returns false on a tied-cost fold, which could
   /// make a best row reference its own merged class (the caller must
   /// rebuild from scratch; see the comment in the implementation).
   bool foldMerges(EGraph &Graph);

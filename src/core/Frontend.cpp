@@ -12,6 +12,7 @@
 #include "support/FailPoints.h"
 
 #include <cassert>
+#include <climits>
 #include <new>
 
 using namespace egglog;
@@ -20,6 +21,12 @@ namespace {
 
 bool isKeyword(const SExpr &Node) {
   return Node.isSymbol() && !Node.Text.empty() && Node.Text[0] == ':';
+}
+
+/// True if \p Node is an iteration or pass count: an integer that fits the
+/// schedule's unsigned counters (a larger one would wrap, 2^32 -> 0).
+bool isCount(const SExpr &Node) {
+  return Node.isInteger() && Node.IntValue >= 0 && Node.IntValue <= UINT_MAX;
 }
 
 /// Scans trailing `:keyword value` pairs starting at \p From. Returns false
@@ -530,7 +537,7 @@ bool Frontend::parseRunLeaf(const SExpr &Form, Schedule &Out,
     ++Arg;
   }
   if (Arg < Form.size() && !isKeyword(Form[Arg])) {
-    if (!Form[Arg].isInteger() || Form[Arg].IntValue < 0)
+    if (!isCount(Form[Arg]))
       return fail(Form, "usage: (run [ruleset] [n] [:until (facts...)])");
     Out.Times = static_cast<unsigned>(Form[Arg].IntValue);
     HasCount = true;
@@ -578,9 +585,10 @@ bool Frontend::execSetOption(const SExpr &Form) {
   const std::string &Option = Form[1].Text;
   if (Option == ":timeout") {
     // Per-command wall-clock budget in seconds (integer or float); 0
-    // disables. Unlike the legacy iteration-granular TimeoutSeconds run
-    // option, a governor timeout is a hard stop: the command fails with a
-    // limit error and rolls back.
+    // disables. Unlike RunOptions::TimeoutSeconds, the graceful deadline
+    // for a whole schedule that stops it between match work items (joins
+    // poll it too) and keeps what was derived, a governor timeout is a
+    // hard stop: the command fails with a limit error and rolls back.
     double Seconds = 0;
     if (Form[2].isInteger() && Form[2].IntValue >= 0)
       Seconds = static_cast<double>(Form[2].IntValue);
@@ -661,7 +669,7 @@ bool Frontend::parseSchedule(const SExpr &Node, Schedule &Out) {
       Kind = Schedule::Kind::Saturate;
     } else if (Head == "repeat") {
       Kind = Schedule::Kind::Repeat;
-      if (Node.size() < 2 || !Node[1].isInteger() || Node[1].IntValue < 0)
+      if (Node.size() < 2 || !isCount(Node[1]))
         return fail(Node, "usage: (repeat n schedules...)");
       Times = static_cast<unsigned>(Node[1].IntValue);
       First = 2;
@@ -814,6 +822,9 @@ bool Frontend::execExtract(const SExpr &Form) {
       return fail(Form[2], "(extract expr n) expects a positive count");
     std::vector<ExtractedTerm> Variants = extractVariants(
         Graph, Result, static_cast<size_t>(Form[2].IntValue));
+    // A governor trip or fault mid-refresh also yields nothing; report it.
+    if (Graph.failed())
+      return failGraph(Form);
     if (Variants.empty())
       return fail(Form, "extract: no term represents this value");
     for (const ExtractedTerm &Variant : Variants)
@@ -821,6 +832,8 @@ bool Frontend::execExtract(const SExpr &Form) {
     return true;
   }
   std::optional<ExtractedTerm> Term = extractTerm(Graph, Result);
+  if (Graph.failed())
+    return failGraph(Form);
   if (!Term)
     return fail(Form, "extract: no term represents this value");
   Outputs.push_back(Term->Text);

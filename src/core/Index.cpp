@@ -81,8 +81,11 @@ void IndexCache::refreshAll(const std::vector<unsigned> &Perm,
   };
 
   size_t Rows = T.rowCount();
-  if (Idx.BuiltVersion == UINT64_MAX || Rows < Idx.BuiltRows) {
-    // First build, or the table shrank (clear()): sort from scratch.
+  // Only rollback shrinks a table, and it invalidates the cache first.
+  assert((Idx.BuiltVersion == UINT64_MAX || Rows >= Idx.BuiltRows) &&
+         "table shrank under a cached index");
+  if (Idx.BuiltVersion == UINT64_MAX) {
+    // First build: sort from scratch.
     Idx.Ids.clear();
     Idx.Ids.reserve(T.liveCount());
     for (size_t Row : T.liveRows())

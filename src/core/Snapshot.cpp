@@ -443,7 +443,9 @@ bool writeFileAtomic(const std::string &Path,
 
 struct SnapMeta {
   uint32_t Timestamp = 0;
-  bool UnionsDirty = false;
+  /// The writer's needsRebuild(); the loader checks that it agrees with the
+  /// dirty worklist, which alone drives the adopted graph's rebuild.
+  bool RebuildFlag = false;
   uint64_t UnionCount = 0;
   /// Written as 0. Snapshots of older writers hold a count bounded by
   /// UnionCount here, so the loader keeps that bound and the version.
@@ -589,7 +591,7 @@ bool parseMeta(Staging &St, SpanReader &R, EggError &Err) {
     return sectionFail(Err, SecMeta, "truncated payload");
   if (Dirty > 1)
     return sectionFail(Err, SecMeta, "corrupt rebuild flag");
-  St.Meta.UnionsDirty = Dirty == 1;
+  St.Meta.RebuildFlag = Dirty == 1;
   if (St.Meta.Reserved > St.Meta.UnionCount)
     return sectionFail(Err, SecMeta, "reserved slot exceeds union count");
   if (!R.done())
@@ -769,6 +771,11 @@ bool parseUnionFind(Staging &St, SpanReader &R, EggError &Err) {
   }
   if (!R.done())
     return sectionFail(Err, SecUnionFind, "trailing bytes");
+  // A pending rebuild is exactly a non-empty worklist; a flag that
+  // disagrees would leave the listed losers unprocessed or misreport them.
+  if (St.Meta.RebuildFlag == St.UFDirty.empty())
+    return sectionFail(Err, SecUnionFind,
+                       "rebuild flag disagrees with dirty worklist");
   return true;
 }
 
@@ -1262,7 +1269,7 @@ bool installStaging(EGraph &G, Staging &St, EggError &Err) {
   // 5. Point of no return: noexcept wholesale content swap.
   G.adoptContent(std::move(St.Tables), std::move(St.UFParents),
                  std::move(St.UFDirty), St.Meta.UnionCount,
-                 St.Meta.Timestamp, St.Meta.UnionsDirty);
+                 St.Meta.Timestamp);
   return true;
 }
 

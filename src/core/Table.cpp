@@ -246,11 +246,12 @@ void Table::rebuildSlots(size_t Rows) {
 void Table::rollbackTo(const TxnMark &M) {
   assert(M.Rows <= Stamps.size() && M.KillLogSize <= KillLog.size() &&
          "marks must be rolled back innermost first");
-  // An aborted rebuild may have consumed occurrence chains (takeOccurrences
-  // detaches the chain before the rows are rewritten) for ids that rollback
-  // returns to the dirty worklist; those chains must come back. Wipe the
-  // index and let the lazy catch-up rescan — even on the cheap path below,
-  // where the row data itself is untouched.
+  // Truncation and resurrection break the append-only catch-up of the
+  // occurrence index (a resurrected row was skipped as dead, a truncated
+  // one may be listed), so wipe it and let the lazy catch-up rescan. The
+  // cheap path below wipes too, so that after any rollback the lists are a
+  // fresh catch-up: their lengths feed rebuild's bulk-sweep heuristic, and
+  // with it the rewrite order.
   OccHead.clear();
   OccPool.clear();
   OccTracked = 0;

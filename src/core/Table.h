@@ -165,11 +165,12 @@ public:
   // Maps an uninterpreted id to the rows whose id-sort columns mention it,
   // so rebuild() can resolve exactly the rows containing a merged id
   // instead of sweeping rowCount(), and extraction can find the rows
-  // producing into a class. Maintained lazily: inserts do nothing,
-  // and catch-up scans only the rows appended since the last drain (rows
-  // are append-only, and every cell was canonical when written). Lists may
-  // contain dead rows — readers skip them — and are dropped wholesale once
-  // their id stops being canonical (it can never be written again).
+  // producing into a class. Maintained lazily: inserts do nothing, and
+  // catch-up scans only the rows appended since the last read (rows are
+  // append-only, and every cell was canonical when written). The lists are
+  // a function of the appended rows alone: readers never consume them, and
+  // dead rows stay in them and are skipped on read. An id that stops being
+  // canonical can never be written again, so its list simply goes unread.
 
   /// Declares which row columns (key positions, plus NumKeys for the
   /// output) hold uninterpreted ids. Called once, at function declaration.
@@ -184,9 +185,9 @@ public:
 
   /// Calls \p Visit(Row) for each live row whose id columns mention
   /// \p IdBits, leaving the list in place; stops early, returning false,
-  /// when \p Visit returns false. The list is complete for a canonical id:
-  /// only losing ids' lists are consumed or dropped, and rollback wipes the
-  /// index for the catch-up to rebuild.
+  /// when \p Visit returns false. The list is complete for every id: no
+  /// reader consumes it, and rollback wipes the index for the catch-up to
+  /// rebuild.
   template <typename VisitFn>
   bool forEachOccurrence(uint64_t IdBits, VisitFn &&Visit) {
     catchUpOccurrences();
@@ -196,25 +197,6 @@ public:
       if (Live[OccPool[Node].Row] && !Visit(OccPool[Node].Row))
         return false;
     return true;
-  }
-
-  /// Appends the rows whose id columns mention \p IdBits to \p Out (dead
-  /// rows are filtered out here) and drops the consumed list: once the
-  /// caller re-canonicalizes those rows, \p IdBits can never be written
-  /// into this table again.
-  void takeOccurrences(uint64_t IdBits, std::vector<uint32_t> &Out) {
-    forEachOccurrence(IdBits, [&](uint32_t Row) {
-      Out.push_back(Row);
-      return true;
-    });
-    dropOccurrences(IdBits);
-  }
-
-  /// Drops the occurrence list of \p IdBits without reading it (used when
-  /// a full sweep supersedes per-id resolution for this pass).
-  void dropOccurrences(uint64_t IdBits) {
-    if (IdBits < OccHead.size())
-      OccHead[IdBits] = -1;
   }
 
   /// The value at (row, column). Columns are the NumKeys key positions
@@ -291,9 +273,8 @@ private:
   /// indexes, so the id -> rows map is a direct-indexed head array over a
   /// pooled singly-linked list — no per-id heap allocations, and catch-up
   /// is two stores per (row, id column). Chains may hold dead rows
-  /// (skipped on read); consumed chains are detached by resetting the
-  /// head, their nodes staying in the pool (8 bytes each, dwarfed by the
-  /// row payload).
+  /// (skipped on read); nodes are 8 bytes each, dwarfed by the row
+  /// payload.
   struct OccNode {
     uint32_t Row;
     int32_t Next;

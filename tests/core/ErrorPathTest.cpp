@@ -211,6 +211,12 @@ TEST(ErrorPathTest, NamedErrorPaths) {
       // 2^44 MiB is 2^64 bytes: the byte count would wrap to 0 (no limit).
       {"", "(set-option :max-memory-mb 17592186044416)",
        ":max-memory-mb expects a non-negative integer"},
+      // 2^32 iterations or passes would wrap to 0 in the unsigned counters.
+      {"(relation r (i64)) (rule ((r x)) ((r x)))", "(run 4294967296)",
+       "usage: (run [ruleset] [n]"},
+      {"(relation r (i64)) (rule ((r x)) ((r x)))",
+       "(run-schedule (repeat 4294967296 (run 1)))",
+       "usage: (repeat n schedules...)"},
   };
   for (const ErrorCase &Case : Cases) {
     SCOPED_TRACE(Case.Command);

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Extract.h"
 #include "core/Frontend.h"
 #include "support/Governor.h"
 
@@ -161,6 +162,42 @@ TEST(GovernorTest, MemoryCeilingTripsAndRollsBack) {
   EXPECT_EQ(F.lastError().Kind, ErrKind::Limit);
   EXPECT_NE(F.error().find("memory ceiling"), std::string::npos) << F.error();
   EXPECT_EQ(fingerprint(F), Before);
+}
+
+TEST(GovernorTest, MemoryCeilingCountsTheExtractionIndex) {
+  // The extraction index holds per-id arrays and use chains; the memory
+  // ceiling counts them, so a ceiling between the graph's bytes without
+  // the index and with it stops the extract that would build it.
+  auto Setup = [](Frontend &F) {
+    setupExplosive(F, /*ChainLength=*/8);
+    ASSERT_TRUE(F.execute("(run 3)")) << F.error();
+  };
+  Frontend Reference;
+  Setup(Reference);
+  ASSERT_TRUE(Reference.execute("(extract e)")) << Reference.error();
+  size_t WithIndex = Reference.graph().approxBytes();
+
+  Frontend F;
+  Setup(F);
+  size_t WithoutIndex = F.graph().approxBytes();
+  // Below the Best array alone (one entry per union-find id), which the
+  // index allocates before its first checkpoint.
+  size_t Ceiling = WithoutIndex + F.graph().unionFind().size() *
+                                      sizeof(ExtractIndex::Entry) / 2;
+  ASSERT_LT(Ceiling, WithIndex);
+  StateFingerprint Before = fingerprint(F);
+  F.graph().governor().setCheckpointInterval(1);
+  F.graph().governor().setMaxBytes(Ceiling);
+  EXPECT_FALSE(F.execute("(extract e)"));
+  EXPECT_EQ(F.lastError().Kind, ErrKind::Limit);
+  EXPECT_NE(F.error().find("memory ceiling"), std::string::npos) << F.error();
+  EXPECT_EQ(fingerprint(F), Before);
+  // The rollback released the invalidated index, so the ceiling is clear
+  // again for commands that do not build it.
+  EXPECT_EQ(F.graph().approxBytes(), WithoutIndex);
+
+  F.graph().governor().setMaxBytes(0);
+  EXPECT_TRUE(F.execute("(extract e)")) << F.error();
 }
 
 TEST(GovernorTest, CancelFromAnotherThreadRollsBack) {

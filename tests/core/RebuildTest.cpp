@@ -233,8 +233,48 @@ private:
     }
   }
 
+  /// Every table that tracks occurrences lists, for each canonical id,
+  /// exactly the live rows whose id columns hold it: rebuild's per-id drain
+  /// and extractVariants both rely on it.
+  static void checkOccurrences(EGraph &G) {
+    const UnionFind &UF = G.unionFind();
+    for (size_t F = 0; F < G.numFunctions(); ++F) {
+      const FunctionInfo &Info = G.function(F);
+      Table &T = *Info.Storage;
+      if (!T.trackingOccurrences())
+        continue;
+      // The sweep: id -> live rows mentioning it in an id-sort column.
+      std::vector<std::vector<uint32_t>> Expected(UF.size());
+      for (size_t Row : T.liveRows())
+        for (unsigned Col = 0; Col < T.rowWidth(); ++Col) {
+          SortId Sort = Col < Info.numKeys() ? Info.Decl.ArgSorts[Col]
+                                             : Info.Decl.OutSort;
+          if (!G.sorts().isIdSort(Sort))
+            continue;
+          std::vector<uint32_t> &Rows = Expected[T.cell(Row, Col).Bits];
+          if (Rows.empty() || Rows.back() != Row)
+            Rows.push_back(static_cast<uint32_t>(Row));
+        }
+      for (uint64_t Id = 0; Id < UF.size(); ++Id) {
+        if (UF.find(Id) != Id)
+          continue;
+        std::vector<uint32_t> Listed;
+        T.forEachOccurrence(Id, [&](uint32_t Row) {
+          Listed.push_back(Row);
+          return true;
+        });
+        std::sort(Listed.begin(), Listed.end());
+        ASSERT_EQ(Listed, Expected[Id])
+            << "occurrences of id " << Id << " in " << Info.Decl.Name;
+      }
+    }
+  }
+
   void rebuildAndCompare() {
     Incremental.G.rebuild();
+    checkOccurrences(Incremental.G);
+    if (::testing::Test::HasFatalFailure())
+      return;
     oracle::sweepRebuild(FullSweep.G);
     ASSERT_FALSE(FullSweep.G.failed()) << FullSweep.G.errorMessage();
     ASSERT_EQ(Incremental.G.liveTupleCount(), FullSweep.G.liveTupleCount());
@@ -245,6 +285,9 @@ private:
     // The sweep leaves the dirty worklist behind; draining it must not
     // change anything the sweep already made canonical.
     FullSweep.G.rebuild();
+    checkOccurrences(FullSweep.G);
+    if (::testing::Test::HasFatalFailure())
+      return;
     ASSERT_EQ(FullSweep.G.liveContentHash(), SweptHash);
     ASSERT_FALSE(Incremental.G.needsRebuild());
     ASSERT_FALSE(FullSweep.G.needsRebuild());
@@ -366,9 +409,9 @@ void churn(TestDb &Db, const std::vector<Value> &Ids) {
 
 TEST(RebuildTest, AbortedRebuildRollsBackAndComposes) {
   // A rebuild aborted at its k-th row (swept across every k) must roll
-  // back to the pre-transaction state — including the occurrence lists an
-  // aborted pass may have consumed — and a clean retry must land on the
-  // same content as a database that never faulted.
+  // back to the pre-transaction state — including the occurrence lists,
+  // which rollback wipes for a fresh catch-up — and a clean retry must
+  // land on the same content as a database that never faulted.
   struct Disarm {
     ~Disarm() { failpoints::disarm(); }
   } Guard;

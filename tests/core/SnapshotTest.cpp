@@ -436,6 +436,59 @@ TEST(SnapshotTest, DecreasingRowStampsAreRejected) {
   std::remove(Path.c_str());
 }
 
+TEST(SnapshotTest, RebuildFlagDisagreeingWithTheWorklistIsRejected) {
+  // META's rebuild flag is the writer's needsRebuild(), which is exactly
+  // "the dirty worklist is non-empty". A file whose flag says otherwise is
+  // refused once both checksums are repaired: with flag 0 over pending
+  // losers, nothing would ever rebuild them.
+  for (bool Pending : {false, true}) {
+    SCOPED_TRACE(Pending ? "pending unions, flag cleared"
+                         : "no pending unions, flag set");
+    const std::string Path = tmpPath("snap_rebuild_flag.snap");
+    Frontend F;
+    ASSERT_TRUE(F.execute("(datatype E (A) (B)) (define a (A)) (define b (B))"))
+        << F.error();
+    if (Pending) {
+      ASSERT_TRUE(F.execute("(union a b)")) << F.error();
+    }
+    ASSERT_EQ(F.graph().needsRebuild(), Pending);
+    StateFingerprint Before = fingerprint(F);
+    ASSERT_TRUE(F.execute("(save \"" + Path + "\")")) << F.error();
+    std::vector<unsigned char> Bytes = readBytes(Path);
+
+    // The META section (id 1) comes first, after the 20-byte header:
+    // id u32 | length u64 | payload | crc32c u32. Its payload starts with
+    // the clock (u32), then the flag (u8).
+    size_t Off = 20;
+    ASSERT_EQ(Bytes[Off], 1u);
+    size_t Payload = Off + 12;
+    size_t PayloadLen = 0;
+    for (int I = 0; I < 8; ++I)
+      PayloadLen |= size_t(Bytes[Off + 4 + static_cast<size_t>(I)]) << (8 * I);
+    ASSERT_EQ(Bytes[Payload + 4], Pending ? 1u : 0u);
+    Bytes[Payload + 4] = Pending ? 0 : 1;
+    auto WriteU32 = [&](size_t At, uint32_t V) {
+      for (int I = 0; I < 4; ++I)
+        Bytes[At + static_cast<size_t>(I)] =
+            static_cast<unsigned char>(V >> (8 * I));
+    };
+    WriteU32(Payload + PayloadLen, crc32c(Bytes.data() + Payload, PayloadLen));
+    WriteU32(Bytes.size() - 4,
+             crc32cFinish(crc32cUpdate(crc32cInit(), Bytes.data(),
+                                       Bytes.size() - 4)));
+    writeBytes(Path, Bytes);
+
+    EXPECT_FALSE(F.execute("(load \"" + Path + "\")"));
+    EXPECT_EQ(F.lastError().Kind, ErrKind::IO) << F.error();
+    EXPECT_NE(F.error().find("rebuild flag disagrees with dirty worklist"),
+              std::string::npos)
+        << F.error();
+    EXPECT_EQ(fingerprint(F), Before);
+    EXPECT_EQ(F.graph().needsRebuild(), Pending);
+    std::remove(Path.c_str());
+  }
+}
+
 TEST(SnapshotTest, DeclarationMismatchIsRejected) {
   const std::string Path = tmpPath("snap_mismatch.snap");
   Victim V;

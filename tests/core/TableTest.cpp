@@ -105,7 +105,7 @@ TEST(TableTest, DistinguishesSorts) {
 
 TEST(TableTest, OccurrenceWalkLeavesTheListInPlace) {
   // forEachOccurrence reads an id's live rows (key or output column) and
-  // keeps the list; takeOccurrences consumes it.
+  // keeps the list.
   Table T(1);
   T.setIdColumns({0, 1});
   Value K1[1] = {v(1)}, K2[1] = {v(2)}, K5[1] = {v(5)}, K4[1] = {v(4)};
@@ -137,11 +137,6 @@ TEST(TableTest, OccurrenceWalkLeavesTheListInPlace) {
     return false;
   }));
   EXPECT_EQ(Visited, 1u);
-  std::vector<uint32_t> Taken;
-  T.takeOccurrences(5, Taken);
-  std::sort(Taken.begin(), Taken.end());
-  EXPECT_EQ(Taken, (std::vector<uint32_t>{0, 2, 4}));
-  EXPECT_TRUE(Walk(5).empty());
 }
 
 /// Property sweep: the table agrees with a std::unordered_map oracle under

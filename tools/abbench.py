@@ -6,6 +6,7 @@ Run from anywhere inside the repository:
   python3 tools/abbench.py --parent REV --change REV --workload NAME \\
       [--workload NAME ...] [--pairs 10] [--seconds 10] [--seed 1] \\
       [--workdir DIR]
+  python3 tools/abbench.py --selftest
 
 Each revision is exported with `git archive` into its own directory under
 DIR (a fresh temporary directory outside the repository when unset), and
@@ -18,9 +19,18 @@ For every end-to-end metric in the parent's BENCHMARK.json it prints each
 side's median and quartiles, the change/parent ratio of the medians, the
 change's wins out of the pairs (a pair is a win when the change's run is
 strictly better), and FLAG when the change's median is worse than the
-parent's by more than the metric's bound. It also prints each side's
-median host.ref_s (perfbench's fixed reference kernel): a shift of every
-metric together with it is the host, not the code.
+parent's by more than the metric's bound. Two more columns read the
+ratio's uncertainty: a bootstrap 95% interval for the median ratio
+(resampling whole pairs, with a fixed seed, so a rerun over the same runs
+prints the same interval), and the median over pairs of the pair's
+change/parent ratio divided by that pair's host.ref_s ratio (perfbench's
+fixed reference kernel), which discounts a host that sped up or slowed
+down between the two runs of a pair (times only; "-" for other units).
+It also prints each side's median host.ref_s: a shift of every metric
+together with it is the host, not the code.
+
+--selftest checks the statistics (quartiles, wins, ratio, interval and
+host-adjusted ratio) on fixed synthetic pairs and builds or runs nothing.
 
 Every run's result is appended to DIR/runs.jsonl. The exit status is 0
 when every run was correct with no failed operation
@@ -30,6 +40,7 @@ and no metric is flagged, 1 otherwise.
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -37,6 +48,8 @@ import tempfile
 
 WORKLOADS = ("pointsto", "eqsat-math", "herbie", "session")
 SIDES = ("parent", "change")
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 1
 
 
 def log(message):
@@ -103,14 +116,63 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def ratio_of(parent, change):
+    """change/parent, with a zero parent read as no change or infinitely
+    worse."""
+    if parent:
+        return change / parent
+    return float("inf") if change else 1.0
+
+
+def bootstrap_interval(parent, change):
+    """Bootstrap 95% interval of the change/parent median ratio: resamples
+    whole pairs with replacement, from a fixed seed."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    count = len(parent)
+    ratios = []
+    for _ in range(BOOTSTRAP_RESAMPLES):
+        picks = [rng.randrange(count) for _ in range(count)]
+        ratios.append(ratio_of(statistics.median(parent[i] for i in picks),
+                               statistics.median(change[i] for i in picks)))
+    cuts = statistics.quantiles(ratios, n=40, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
+def summarize(parent, change, lower, parent_refs=None, change_refs=None):
+    """Statistics of one metric over paired runs (parent[i] and change[i]
+    ran as pair i): each side's quartiles, the median ratio, the change's
+    wins, the ratio's bootstrap interval, and the median per-pair ratio
+    divided by the pair's host.ref_s ratio (None without refs for every
+    pair)."""
+    stats = {"parent": quartiles(parent), "change": quartiles(change)}
+    summary = {
+        "parent": stats["parent"],
+        "change": stats["change"],
+        "ratio": ratio_of(stats["parent"][1], stats["change"][1]),
+        "wins": sum(1 for p, c in zip(parent, change)
+                    if (c < p if lower else c > p)),
+        "interval": bootstrap_interval(parent, change),
+        "host_adjusted": None,
+    }
+    if (parent_refs and change_refs and None not in parent_refs
+            and None not in change_refs):
+        summary["host_adjusted"] = statistics.median(
+            ratio_of(p, c) / ratio_of(rp, rc)
+            for p, c, rp, rc in zip(parent, change, parent_refs,
+                                    change_refs))
+    return summary
+
+
 def compare(workload, runs, spec):
     """Prints the comparison table; returns the number of flagged
     metrics."""
     pairs = len(runs["parent"])
+    refs = {side: [e.get("host.ref_s") for _, e in runs[side]]
+            for side in SIDES}
     print("\n== %s: %d pairs" % (workload, pairs))
-    print("%-12s %-32s %-32s %7s %6s  %s" %
+    print("%-12s %-33s %-33s %7s %-15s %8s %6s  %s" %
           ("metric", "parent q1/median/q3", "change q1/median/q3",
-           "ratio", "wins", "bound"))
+           "ratio", "95% interval", "host-adj", "wins", "bound"))
     flagged = 0
     for metric in spec["end_to_end"]:
         name = metric["name"]
@@ -118,39 +180,101 @@ def compare(workload, runs, spec):
         bound = metric["bound"]
         values = {side: [r["metrics"][name]["value"] for r, _ in runs[side]]
                   for side in SIDES}
-        stats = {side: quartiles(values[side]) for side in SIDES}
-        parent_median = stats["parent"][1]
-        change_median = stats["change"][1]
-        ratio = (change_median / parent_median if parent_median
-                 else float("inf") if change_median else 1.0)
-        wins = sum(1 for p, c in zip(values["parent"], values["change"])
-                   if (c < p if lower else c > p))
+        # The reference kernel measures the host's speed, so it adjusts
+        # times only.
+        timed = metric.get("unit") == "s"
+        summary = summarize(values["parent"], values["change"], lower,
+                            refs["parent"] if timed else None,
+                            refs["change"] if timed else None)
+        ratio = summary["ratio"]
         worse = ratio > 1 + bound if lower else ratio < 1 - bound
         flagged += worse
-        print("%-12s %-32s %-32s %7.3f %3d/%-2d  %.2f%s" %
-              (name, "%.4g / %.4g / %.4g" % stats["parent"],
-               "%.4g / %.4g / %.4g" % stats["change"], ratio, wins, pairs,
-               bound, "  FLAG" if worse else ""))
+        adjusted = summary["host_adjusted"]
+        print("%-12s %-33s %-33s %7.3f %-15s %8s %3d/%-2d  %.2f%s" %
+              (name, "%.4g / %.4g / %.4g" % summary["parent"],
+               "%.4g / %.4g / %.4g" % summary["change"], ratio,
+               "[%.3f, %.3f]" % summary["interval"],
+               "-" if adjusted is None else "%.3f" % adjusted,
+               summary["wins"], pairs, bound, "  FLAG" if worse else ""))
     for side in SIDES:
-        refs = [e.get("host.ref_s") for _, e in runs[side]]
-        refs = [r for r in refs if r is not None]
-        if refs:
+        known = [r for r in refs[side] if r is not None]
+        if known:
             print("%s host.ref_s median %.4g" % (side,
-                                                 statistics.median(refs)))
+                                                 statistics.median(known)))
     return flagged
+
+
+def selftest():
+    """Checks the statistics on fixed synthetic pairs; returns the exit
+    status."""
+    failures = []
+
+    def check(what, ok):
+        if not ok:
+            failures.append(what)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+    check("quartiles of 1..5", quartiles([5, 1, 4, 2, 3]) == (2, 3, 4))
+    check("quartiles of one run", quartiles([7.0]) == (7.0, 7.0, 7.0))
+
+    # The change is exactly 10% faster in every pair: every resample has
+    # the same ratio, so the interval collapses onto it; the host's
+    # reference kernel also ran 10% faster, so the host-adjusted ratio is 1.
+    parent = [1.0 + 0.1 * i for i in range(10)]
+    change = [0.9 * p for p in parent]
+    scaled = summarize(parent, change, True, [0.01] * 10, [0.009] * 10)
+    check("scaled ratio", close(scaled["ratio"], 0.9))
+    check("scaled wins", scaled["wins"] == 10)
+    check("scaled interval", close(scaled["interval"][0], 0.9)
+          and close(scaled["interval"][1], 0.9))
+    check("scaled host-adjusted", close(scaled["host_adjusted"], 1.0))
+    check("higher-is-better wins",
+          summarize(parent, change, False)["wins"] == 0)
+    check("ties are no wins", summarize(parent, parent, True)["wins"] == 0)
+    check("no refs, no host-adjusted ratio",
+          summarize(parent, change, True, [None] * 10, [0.01] * 10)
+          ["host_adjusted"] is None)
+
+    # Noisy pairs: the interval brackets the point ratio, has width, and
+    # is the same on every call (fixed seed).
+    parent = [1.00, 1.10, 0.95, 1.20, 1.05, 0.98, 1.15, 1.02, 0.97, 1.08]
+    change = [1.02, 1.00, 1.01, 1.12, 0.99, 1.04, 1.05, 1.10, 0.96, 1.00]
+    noisy = summarize(parent, change, True)
+    low, high = noisy["interval"]
+    check("noisy ratio", close(noisy["ratio"],
+                               statistics.median(change) /
+                               statistics.median(parent)))
+    check("noisy wins", noisy["wins"] == 6)
+    check("noisy interval brackets the ratio", low < noisy["ratio"] < high)
+    check("noisy interval is deterministic",
+          summarize(parent, change, True)["interval"] == (low, high))
+    check("zero parent", ratio_of(0, 0) == 1.0
+          and ratio_of(0, 1) == float("inf"))
+
+    for what in failures:
+        print("abbench selftest: FAILED %s" % what)
+    if not failures:
+        print("abbench selftest: ok")
+    return 1 if failures else 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True)
-    parser.add_argument("--change", required=True)
-    parser.add_argument("--workload", action="append", required=True,
-                        choices=WORKLOADS)
+    parser.add_argument("--parent")
+    parser.add_argument("--change")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workdir")
+    parser.add_argument("--selftest", action="store_true")
     args = parser.parse_args()
+    if args.selftest:
+        return selftest()
+    if not (args.parent and args.change and args.workload):
+        parser.error("--parent, --change and --workload are required")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
