@@ -573,11 +573,6 @@ IndexCache::Stats EGraph::indexStats() const {
   return Total;
 }
 
-void EGraph::invalidateIndexes() {
-  for (const auto &Info : Functions)
-    Info->Storage->indexes().invalidate();
-}
-
 //===----------------------------------------------------------------------===
 // Transactions
 //===----------------------------------------------------------------------===
@@ -678,11 +673,18 @@ bool EGraph::governorTripped() {
                 "resource limit: live tuple ceiling of " +
                     std::to_string(Gov.maxLive()) + " exceeded");
     return true;
-  case GovernorVerdict::MemoryLimit:
+  case GovernorVerdict::MemoryLimit: {
+    // Whole MiB as set by :max-memory-mb; the exact bytes otherwise, so an
+    // API ceiling under 1 MiB does not read as 0.
+    size_t Max = Gov.maxBytes();
     reportError(ErrKind::Limit,
                 "resource limit: memory ceiling of " +
-                    std::to_string(Gov.maxBytes() >> 20) + " MB exceeded");
+                    (Max % (size_t(1) << 20) == 0
+                         ? std::to_string(Max >> 20) + " MB"
+                         : std::to_string(Max) + " bytes") +
+                    " exceeded");
     return true;
+  }
   case GovernorVerdict::Cancelled:
     reportError(ErrKind::Cancelled, "cancelled by request");
     return true;

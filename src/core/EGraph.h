@@ -258,12 +258,6 @@ public:
   /// probing without forcing an allocation).
   const ExtractIndex *extractIndexIfBuilt() const { return ExtractIdx.get(); }
 
-  /// Drops every cached column index (bulk invalidation). rebuild() instead
-  /// ends with IndexCache::sweepStale() on every cached table, which drops
-  /// only the stamp partitions of tables whose version moved and keeps the
-  /// All indexes for incremental refresh.
-  void invalidateIndexes();
-
   //===--------------------------------------------------------------------===
   // Transactions: per-command rollback and (push)/(pop) contexts
   //===--------------------------------------------------------------------===

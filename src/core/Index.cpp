@@ -6,16 +6,28 @@
 
 #include "core/Index.h"
 
+#include "support/FailPoints.h"
+
 #include <algorithm>
 #include <cassert>
 
 using namespace egglog;
 
-void IndexCache::invalidate() {
-  Entries.clear();
-  Counts.clear();
-  SweptVersion = UINT64_MAX;
-}
+namespace {
+
+/// The order of an All entry: the permuted cells, then the row id. It is
+/// total, so any two sorts of the same rows agree.
+struct RowLess {
+  const std::vector<const Value *> &Cols;
+  bool operator()(uint32_t A, uint32_t B) const {
+    for (const Value *Col : Cols)
+      if (Col[A] != Col[B])
+        return Col[A] < Col[B];
+    return A < B;
+  }
+};
+
+} // namespace
 
 void IndexCache::sweepStaleSlow() {
   for (auto It = Entries.begin(); It != Entries.end();) {
@@ -63,8 +75,7 @@ const ColumnIndex &IndexCache::get(const std::vector<unsigned> &Perm,
   return Idx;
 }
 
-void IndexCache::refreshAll(const std::vector<unsigned> &Perm,
-                            ColumnIndex &Idx) {
+void IndexCache::gatherColumns(const std::vector<unsigned> &Perm) {
   // Gather the permuted column base pointers once; the comparator then
   // touches only the contiguous column arrays (no per-row pointer
   // arithmetic), which is what makes the sort and merge cache-linear under
@@ -72,19 +83,23 @@ void IndexCache::refreshAll(const std::vector<unsigned> &Perm,
   PermCols.clear();
   for (unsigned Pos : Perm)
     PermCols.push_back(T.column(Pos));
-  const std::vector<const Value *> &Cols = PermCols;
-  auto Less = [&Cols](uint32_t A, uint32_t B) {
-    for (const Value *Col : Cols)
-      if (Col[A] != Col[B])
-        return Col[A] < Col[B];
-    return A < B;
-  };
+}
+
+void IndexCache::refreshAll(const std::vector<unsigned> &Perm,
+                            ColumnIndex &Idx) {
+  gatherColumns(Perm);
+  RowLess Less{PermCols};
 
   size_t Rows = T.rowCount();
-  // Only rollback shrinks a table, and it invalidates the cache first.
+  // Only rollback shrinks a table, and it repairs the entries first.
   assert((Idx.BuiltVersion == UINT64_MAX || Rows >= Idx.BuiltRows) &&
          "table shrank under a cached index");
-  if (Idx.BuiltVersion == UINT64_MAX) {
+  bool Built = Idx.BuiltVersion != UINT64_MAX;
+  // The entry reads as unbuilt until the refresh completes: an exception
+  // midway (bad_alloc from an append, an injected fault) leaves Ids torn,
+  // and the next get() must rebuild it, not append to it again.
+  Idx.BuiltVersion = UINT64_MAX;
+  if (!Built) {
     // First build: sort from scratch.
     Idx.Ids.clear();
     Idx.Ids.reserve(T.liveCount());
@@ -105,6 +120,7 @@ void IndexCache::refreshAll(const std::vector<unsigned> &Perm,
     for (size_t Row = Idx.BuiltRows; Row < Rows; ++Row)
       if (T.isLive(Row))
         Idx.Ids.push_back(static_cast<uint32_t>(Row));
+    EGGLOG_FAILPOINT("index.refresh");
     std::sort(Idx.Ids.begin() + Mid, Idx.Ids.end(), Less);
     std::inplace_merge(Idx.Ids.begin(), Idx.Ids.begin() + Mid, Idx.Ids.end(),
                        Less);
@@ -114,6 +130,46 @@ void IndexCache::refreshAll(const std::vector<unsigned> &Perm,
   Idx.BuiltVersion = T.version();
   Idx.BuiltRows = Rows;
   Idx.BuiltKills = T.killCount();
+}
+
+void IndexCache::rollback(size_t Rows, uint64_t Kills,
+                          const std::vector<uint32_t> &KillLog) {
+  Counts.clear();
+  for (auto It = Entries.begin(); It != Entries.end();) {
+    ColumnIndex &Idx = It->second;
+    if (It->first.Filter != AtomFilter::All ||
+        Idx.BuiltVersion == UINT64_MAX) {
+      It = Entries.erase(It);
+      continue;
+    }
+    // Ids are below BuiltRows, so only a mark below it truncates any.
+    if (Idx.BuiltRows > Rows) {
+      Idx.Ids.erase(
+          std::remove_if(Idx.Ids.begin(), Idx.Ids.end(),
+                         [Rows](uint32_t Row) { return Row >= Rows; }),
+          Idx.Ids.end());
+      Idx.BuiltRows = Rows;
+    }
+    // The rows killed in [Kills, BuiltKills) were swept from the entry and
+    // are live again. Each row dies at most once, so none is merged twice,
+    // and those at or above BuiltRows were never in the entry: the next
+    // refresh appends them.
+    if (Idx.BuiltKills > Kills) {
+      std::vector<uint32_t> Revived;
+      for (uint64_t K = Kills; K < Idx.BuiltKills; ++K)
+        if (KillLog[K] < Idx.BuiltRows)
+          Revived.push_back(KillLog[K]);
+      gatherColumns(It->first.Perm);
+      RowLess Less{PermCols};
+      std::sort(Revived.begin(), Revived.end(), Less);
+      size_t Mid = Idx.Ids.size();
+      Idx.Ids.insert(Idx.Ids.end(), Revived.begin(), Revived.end());
+      std::inplace_merge(Idx.Ids.begin(), Idx.Ids.begin() + Mid,
+                         Idx.Ids.end(), Less);
+      Idx.BuiltKills = Kills;
+    }
+    ++It;
+  }
 }
 
 void IndexCache::derivePartition(ColumnIndex &Idx, const ColumnIndex &All,
@@ -141,4 +197,12 @@ size_t IndexCache::approxBytes() const {
     Bytes += Idx.Ids.capacity() * sizeof(uint32_t) +
              Key.Perm.capacity() * sizeof(unsigned);
   return Bytes;
+}
+
+std::vector<std::vector<unsigned>> IndexCache::allPermutations() const {
+  std::vector<std::vector<unsigned>> Perms;
+  for (const auto &[Key, Idx] : Entries)
+    if (Key.Filter == AtomFilter::All)
+      Perms.push_back(Key.Perm);
+  return Perms;
 }

@@ -23,10 +23,22 @@
 ///    kill counter moved, freshly appended rows are sorted on their own and
 ///    merged in — amortized O(changed log changed + n) instead of
 ///    O(n log n) per refresh.
+///  * A table rollback (a failed command, a `(pop)`) repairs the `All`
+///    entries in place instead of dropping them; see rollback().
 ///  * The semi-naïve `Old`/`New` partitions are derived from the `All`
 ///    index by a single stable linear filter (no sorting), and are shared
 ///    by all delta variants of a rule and all rules querying the same
 ///    table with the same bound in one search phase.
+///
+/// Invariant of a built `All` entry: its ids are exactly the rows
+/// `r < BuiltRows` that are not in `KillLog[0, BuiltKills)` (the table's
+/// kill journal), sorted by the permuted cells and then by row id. A build
+/// establishes it, and so does a refresh, because it sweeps every dead row
+/// whenever the kill count moved. The order is total, so any entry that
+/// satisfies the invariant equals a fresh build of the same rows. An entry
+/// whose build or refresh did not complete is marked unbuilt
+/// (`BuiltVersion == UINT64_MAX`) and is rebuilt from scratch, never
+/// trusted.
 ///
 /// Constant arguments are NOT part of the cache key: queries narrow to
 /// their constants with a binary search in QueryExecutor::prepare, so
@@ -122,8 +134,16 @@ public:
   /// (old, new) live-row counts split at \p Bound; cached per version.
   std::pair<size_t, size_t> partitionCounts(uint32_t Bound);
 
-  /// Drops every cached entry (full bulk invalidation).
-  void invalidate();
+  /// Repairs the cache after the table rolled back to a mark of \p Rows
+  /// rows and \p Kills journaled kills; \p KillLog is the kill journal
+  /// before its truncation, whose suffix names the rows the mark revives.
+  /// Each built `All` entry keeps its ids below \p Rows, merges back the
+  /// revived rows it had swept, and lowers BuiltRows/BuiltKills to the
+  /// mark, which restores the invariant above; the table's version bump
+  /// then makes the next get() refresh it incrementally. Unbuilt and torn
+  /// entries, the Old/New partitions and the partition counts are dropped.
+  void rollback(size_t Rows, uint64_t Kills,
+                const std::vector<uint32_t> &KillLog);
 
   /// Drops the stamp-partition entries and counts if the table changed
   /// since they were built; keeps All entries for incremental refresh.
@@ -134,6 +154,10 @@ public:
   }
 
   const Stats &stats() const { return Counters; }
+
+  /// The permutations of the cached `All` entries, built or not (for
+  /// tests that compare each entry with a fresh build).
+  std::vector<std::vector<unsigned>> allPermutations() const;
 
   /// Approximate bytes held by the cached entries (for the governor's
   /// ceiling, via Table::approxBytes).
@@ -177,6 +201,8 @@ private:
   std::vector<const Value *> PermCols;
 
   void sweepStaleSlow();
+  /// Fills PermCols with the base pointers of \p Perm's columns.
+  void gatherColumns(const std::vector<unsigned> &Perm);
 
   void refreshAll(const std::vector<unsigned> &Perm, ColumnIndex &Idx);
   void derivePartition(ColumnIndex &Idx, const ColumnIndex &All,

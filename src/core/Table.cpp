@@ -257,9 +257,14 @@ void Table::rollbackTo(const TxnMark &M) {
   OccTracked = 0;
   // Cheap path: nothing was appended or killed here since the mark (by the
   // failed command, or by the whole popped context) — the row data, key
-  // index, and cached column indexes all stay warm.
+  // index, and cached column indexes all stay as they are.
   if (M.Rows == Stamps.size() && M.KillLogSize == KillLog.size())
     return;
+
+  // Repair the column indexes first: the repair reads the kill journal's
+  // suffix, which the truncation below discards.
+  if (Indexes)
+    Indexes->rollback(M.Rows, M.KillLogSize, KillLog);
 
   // Resurrect the rows killed since the mark. Each row dies at most once,
   // so the journaled suffix has no duplicates; entries pointing at rows
@@ -275,12 +280,8 @@ void Table::rollbackTo(const TxnMark &M) {
   LiveHash = M.LiveHash;
   ++Version;
 
-  // Rebuild the key index from the surviving live rows and drop
-  // incremental consumers (resurrection breaks their monotone-death
-  // assumptions).
+  // Rebuild the key index from the surviving live rows.
   rebuildSlots(M.Rows);
-  if (Indexes)
-    Indexes->invalidate();
 }
 
 size_t Table::approxBytes() const {

@@ -238,11 +238,13 @@ public:
     return TxnMark{Stamps.size(), KillLog.size(), LiveHash};
   }
 
-  /// Rolls the table back to \p M. The row data, key index and cached
-  /// column indexes stay warm when nothing was appended or killed since
-  /// the mark. Truncation and resurrection break the append-only contract
-  /// that suffix scanners rely on; EGraph::txnRollback, the only caller
-  /// outside tests, invalidates the extraction index alongside.
+  /// Rolls the table back to \p M. The cached column indexes stay warm on
+  /// both paths: when nothing was appended or killed since the mark they
+  /// are kept as they are (with the row data and key index), and otherwise
+  /// IndexCache::rollback repairs them in place. Truncation and
+  /// resurrection break the append-only contract that the other suffix
+  /// scanners rely on; EGraph::txnRollback, the only caller outside tests,
+  /// invalidates the extraction index alongside.
   void rollbackTo(const TxnMark &M);
 
   /// Approximate bytes held by this table (for the governor's ceiling).

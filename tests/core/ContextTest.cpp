@@ -357,6 +357,51 @@ TEST(ContextTest, PopKeepsUntouchedTablesIndexesWarm) {
   EXPECT_EQ(Indexes.stats().Builds, Builds);
 }
 
+TEST(ContextTest, SessionQueriesKeepIndexesWarmAcrossPops) {
+  // The shape of a query session: push, define a term, run, extract, pop,
+  // over and over. Each pop rolls back tables the run appended to and
+  // killed in; their column indexes are repaired, not dropped, so after
+  // the first query every index the runs need is refreshed, never rebuilt.
+  // At 4 threads the joins read the repaired indexes concurrently.
+  const std::vector<std::string> Queries = {
+      "(Add (Num 2) (Mul (Num 3) (Num 4)))",
+      "(Mul (Add (Num 1) (Num 5)) (Num 2))",
+      "(Add (Mul (Num 2) (Num 2)) (Add (Num 7) (Num 1)))",
+      "(Mul (Num 6) (Add (Num 3) (Num 3)))",
+      "(Add (Num 9) (Num 0))",
+      "(Mul (Mul (Num 1) (Num 2)) (Add (Num 3) (Num 4)))",
+  };
+  for (unsigned Threads : {1u, 4u}) {
+    Frontend F;
+    F.engine().setThreads(Threads);
+    ASSERT_TRUE(F.execute(R"(
+      (datatype Math (Num i64) (Add Math Math) (Mul Math Math))
+      (rewrite (Add a b) (Add b a))
+      (rewrite (Mul a b) (Mul b a))
+      (rewrite (Mul a (Add b c)) (Add (Mul a b) (Mul a c)))
+      (rewrite (Add (Num x) (Num y)) (Num (+ x y)))
+      (rewrite (Mul (Num x) (Num y)) (Num (* x y)))
+      (define e (Mul (Num 2) (Add (Num 1) (Num 3))))
+      (run 3)
+    )")) << F.error();
+    StateFingerprint BeforeQueries = fingerprint(F);
+    uint64_t BuildsAfterFirst = 0;
+    for (size_t I = 0; I < Queries.size(); ++I) {
+      ASSERT_TRUE(F.execute("(push) (define q " + Queries[I] +
+                            ") (run 2) (extract q) (pop)"))
+          << F.error();
+      EXPECT_EQ(fingerprint(F), BeforeQueries) << "query " << I;
+      IndexCache::Stats Stats = F.graph().indexStats();
+      if (I == 0)
+        BuildsAfterFirst = Stats.Builds;
+      else
+        EXPECT_EQ(Stats.Builds, BuildsAfterFirst)
+            << "query " << I << " at " << Threads << " threads";
+    }
+    EXPECT_EQ(F.outputs().size(), Queries.size());
+  }
+}
+
 TEST(ContextTest, RuleExecutorsLiveAsLongAsTheirRules) {
   // A rule's executors are built when the rule is added and reference its
   // query in place, so they must survive later rules being added, a pop

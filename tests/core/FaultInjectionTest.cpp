@@ -12,6 +12,7 @@
 
 #include "core/Extract.h"
 #include "core/Frontend.h"
+#include "core/Index.h"
 #include "support/FailPoints.h"
 
 #include <gtest/gtest.h>
@@ -221,6 +222,42 @@ TEST(FaultInjectionTest, VariantScanReachesAGovernorCheckpoint) {
       << F.error();
   EXPECT_EQ(fingerprint(F), Before);
   EXPECT_TRUE(F.execute("(extract e 3)")) << F.error();
+}
+
+TEST(FaultInjectionTest, TornIndexRefreshIsRebuiltNotReused) {
+  // A fault between a refresh's append and its merge leaves the entry's
+  // ids torn. The failed command appended nothing to `edge`, so its
+  // rollback takes the cheap path and keeps the cache; the entry must then
+  // read as unbuilt, so the rerun rebuilds it instead of appending the
+  // same rows a second time.
+  DisarmGuard Guard;
+  Frontend F;
+  ASSERT_TRUE(F.execute("(relation edge (i64 i64))"
+                        "(relation path (i64 i64))"
+                        "(rule ((edge x y)) ((path x y)))"
+                        "(edge 3 1) (edge 1 2) (run 1)"
+                        "(edge 2 0) (edge 0 4)"))
+      << F.error();
+  StateFingerprint Before = fingerprint(F);
+  failpoints::arm("index.refresh", 1);
+  EXPECT_FALSE(F.execute("(run 1)"));
+  failpoints::disarm();
+  EXPECT_NE(F.error().find("injected fault at 'index.refresh'"),
+            std::string::npos)
+      << F.error();
+  EXPECT_EQ(fingerprint(F), Before);
+  ASSERT_TRUE(F.execute("(run 1)")) << F.error();
+
+  FunctionId Edge = 0;
+  ASSERT_TRUE(F.graph().lookupFunctionName("edge", Edge));
+  const Table &T = *F.graph().function(Edge).Storage;
+  std::vector<std::vector<unsigned>> Perms = T.indexes().allPermutations();
+  ASSERT_FALSE(Perms.empty());
+  for (const std::vector<unsigned> &Perm : Perms) {
+    IndexCache Fresh(T);
+    EXPECT_EQ(T.indexes().get(Perm, AtomFilter::All, 0).ids(),
+              Fresh.get(Perm, AtomFilter::All, 0).ids());
+  }
 }
 
 TEST(FaultInjectionTest, HitCountingWithoutFiring) {
