@@ -8,7 +8,8 @@
 //     BM_SemiNaiveTCGoverned against BM_SemiNaiveTC at the same argument;
 //     the target is under 2%),
 //   * rebuilding cost as unions accumulate (§5.1),
-//   * the core data structures (table, union-find),
+//   * the core data structures (table insert and lookup, the table's
+//     update-kill-append path that rebuild drives, union-find),
 //   * the exact arithmetic under the Herbie interval analyses (BigInt
 //     division, Rational normalization).
 //
@@ -155,7 +156,7 @@ void BM_RebuildSparseUnions(benchmark::State &State) {
 void BM_TableInsertLookup(benchmark::State &State) {
   unsigned N = static_cast<unsigned>(State.range(0));
   for (auto _ : State) {
-    Table T(2);
+    Table T({2, 2, 2});
     for (unsigned I = 0; I < N; ++I) {
       Value Keys[2] = {Value(2, I), Value(2, I * 7 % N)};
       T.insert(Keys, Value(2, I), 0);
@@ -167,6 +168,36 @@ void BM_TableInsertLookup(benchmark::State &State) {
     }
     benchmark::DoNotOptimize(Hits);
   }
+}
+
+/// The "Table append/kill" layer, shaped like rebuild: N keys inserted,
+/// then every key updated, so each timed update kills its row (unlinking
+/// its hash slot) and appends a fresh one. bytes_per_row is approxBytes()
+/// over the row slots after the updates (N dead plus N live).
+void BM_TableUpdateKill(benchmark::State &State) {
+  unsigned N = static_cast<unsigned>(State.range(0));
+  size_t Bytes = 0, RowSlots = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    Table T({2, 2, 2});
+    for (unsigned I = 0; I < N; ++I) {
+      Value Keys[2] = {Value(2, I), Value(2, I * 7 % N)};
+      T.insert(Keys, Value(2, I), 0);
+    }
+    State.ResumeTiming();
+    for (unsigned I = 0; I < N; ++I) {
+      Value Keys[2] = {Value(2, I), Value(2, I * 7 % N)};
+      T.insert(Keys, Value(2, I + 1), 1);
+    }
+    benchmark::DoNotOptimize(T.liveHash());
+    State.PauseTiming();
+    Bytes = T.approxBytes();
+    RowSlots = T.rowCount();
+    State.ResumeTiming();
+  }
+  State.SetItemsProcessed(State.iterations() * N);
+  State.counters["bytes_per_row"] =
+      static_cast<double>(Bytes) / static_cast<double>(RowSlots);
 }
 
 void BM_UnionFind(benchmark::State &State) {
@@ -255,6 +286,7 @@ BENCHMARK(BM_SemiNaiveTCGoverned)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK(BM_RebuildAfterUnions)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_RebuildSparseUnions)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_TableInsertLookup)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_TableUpdateKill)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_UnionFind)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_BigIntDivmod)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_RationalNormalize)->Arg(32)->Arg(64)->Arg(128);

@@ -66,7 +66,7 @@ FunctionId EGraph::declareFunction(FunctionDecl Decl) {
   assert(Decl.Cost >= 0 && "negative extraction cost");
   FunctionId Id = static_cast<FunctionId>(Functions.size());
   auto Info = std::make_unique<FunctionInfo>();
-  Info->Storage = std::make_unique<Table>(Decl.ArgSorts.size(), Id);
+  Info->Storage = std::make_unique<Table>(Decl.columnSorts(), Id);
   Info->Decl = std::move(Decl);
 
   // Classify columns for the incremental rebuild: id-sort columns feed the
@@ -655,12 +655,12 @@ size_t EGraph::approxBytes() const {
   return Total;
 }
 
-bool EGraph::governorTripped() {
+bool EGraph::governorTripped(size_t TransientBytes) {
   if (Failed)
     return true;
   if (!Gov.anyLimitSet())
     return false;
-  switch (Gov.poll(liveTupleCount(), approxBytes())) {
+  switch (Gov.poll(liveTupleCount(), approxBytes() + TransientBytes)) {
   case GovernorVerdict::Ok:
     return false;
   case GovernorVerdict::Timeout:

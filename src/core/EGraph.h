@@ -56,6 +56,14 @@ struct FunctionDecl {
   unsigned Line = 0;
   unsigned Col = 0;
   std::string Unit;
+
+  /// The sorts of the function's table columns: the argument sorts, then
+  /// the output sort.
+  std::vector<SortId> columnSorts() const {
+    std::vector<SortId> Sorts = ArgSorts;
+    Sorts.push_back(OutSort);
+    return Sorts;
+  }
 };
 
 /// Runtime record for a declared function.
@@ -323,7 +331,9 @@ public:
   void resetCheckpointBudget() { CheckpointBudget = 0; }
 
   /// Immediate full poll (no amortization); reports the error on a trip.
-  bool governorTripped();
+  /// \p TransientBytes (the match phase's arenas) count toward the byte
+  /// ceiling on top of approxBytes().
+  bool governorTripped(size_t TransientBytes = 0);
 
   /// Approximate bytes held by tables, union-find and the extraction index
   /// (governor ceiling).

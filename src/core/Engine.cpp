@@ -155,14 +155,14 @@ bool Engine::step(const RunOptions &Options, const Deadline &Due,
   };
 
   //=== Match phase: one work item per (rule, delta variant). ==============
-  // Each item collects its matches into a flat arena (NumVars values per
-  // match); the apply phase drains the items in (rule declaration,
-  // variant, match) order, so the database mutation order — and with it
-  // every fresh id and liveContentHash — is independent of the thread
-  // count. Rules outside the selected ruleset are skipped entirely;
-  // their DeltaStart stays put, so when their ruleset next runs, the
-  // delta covers everything that happened in between (phased schedules
-  // stay semi-naïve-correct).
+  // Each item collects its matches into a flat arena (the Bits of NumVars
+  // values per match; the rule's VarSorts give their sorts); the apply
+  // phase drains the items in (rule declaration, variant, match) order,
+  // so the database mutation order — and with it every fresh id and
+  // liveContentHash — is independent of the thread count. Rules outside
+  // the selected ruleset are skipped entirely; their DeltaStart stays put,
+  // so when their ruleset next runs, the delta covers everything that
+  // happened in between (phased schedules stay semi-naïve-correct).
   struct WorkItem {
     size_t Rule = 0;
     QueryExecutor *Exec = nullptr;
@@ -170,11 +170,14 @@ bool Engine::step(const RunOptions &Options, const Deadline &Due,
     /// non-incremental search).
     const std::vector<AtomFilter> *Filters = &NoFilters;
     uint32_t Bound = 0;
-    std::vector<Value> Arena;
+    std::vector<uint64_t> Arena;
     size_t Count = 0;
     /// Share of Count already added to the rule's shared counter (for
     /// cross-variant BackOff cancellation).
     uint64_t Published = 0;
+    /// Share of the arena's capacity, in bytes, already added to
+    /// ArenaBytes (for the byte ceiling).
+    size_t PublishedBytes = 0;
   };
   std::vector<WorkItem> Items; // (rule, variant) ascending
   Items.reserve(Rules.size());
@@ -216,9 +219,25 @@ bool Engine::step(const RunOptions &Options, const Deadline &Due,
                                            std::memory_order_relaxed) +
            Unpublished;
   };
+  // The byte ceiling counts the match arenas on top of the graph. Joins
+  // only read the graph, so its bytes are taken once, after prepare; each
+  // item adds its arena's capacity growth to one shared counter. The
+  // counter never falls during the phase, so a join the ceiling stopped is
+  // still over it when governorTripped() looks after the join.
+  const size_t MaxBytes = Gov.maxBytes();
+  size_t GraphBytes = 0;
+  std::atomic<size_t> ArenaBytes{0};
+  auto PublishBytes = [&](WorkItem &Item) {
+    size_t Growth = Item.Arena.capacity() * sizeof(uint64_t) -
+                    Item.PublishedBytes;
+    Item.PublishedBytes += Growth;
+    return ArenaBytes.fetch_add(Growth) + Growth;
+  };
   auto ItemCancelled = [&](WorkItem &Item) {
     EGGLOG_FAILPOINT("match.step");
     if (expired(Due) || Gov.pollQuick() != GovernorVerdict::Ok)
+      return true;
+    if (MaxBytes && GraphBytes + PublishBytes(Item) > MaxBytes)
       return true;
     // Sibling variants of an over-matching rule abort too. The ban
     // decision stays deterministic: an abort fires only once the
@@ -239,12 +258,14 @@ bool Engine::step(const RunOptions &Options, const Deadline &Due,
       return ItemCancelled(Item);
     };
     Item.Exec->join(Item.Arena, Item.Count, &Cancel);
+    if (MaxBytes)
+      PublishBytes(Item);
     // Publish the remainder, so a later sibling variant of an
     // over-matching rule is skipped outright; once the rule is over its
     // threshold its matches will be dropped, so free them now (Count
     // stays for the ban decision).
     if (Publish(Item) > Threshold)
-      std::vector<Value>().swap(Item.Arena);
+      std::vector<uint64_t>().swap(Item.Arena);
   };
 
   // Prepare, on this thread and in item order: every lazy database-side
@@ -254,6 +275,8 @@ bool Engine::step(const RunOptions &Options, const Deadline &Due,
   // only read them.
   for (WorkItem &Item : Items)
     Item.Exec->prepare(*Item.Filters, Item.Bound);
+  if (MaxBytes)
+    GraphBytes = Graph.approxBytes();
   Stats.WarmSeconds = Phase.seconds();
   // Join. Rules whose query primitives may intern values or
   // canonicalize ids (see queryIsParallelSafe) write structures other
@@ -274,8 +297,9 @@ bool Engine::step(const RunOptions &Options, const Deadline &Due,
   Stats.SearchSeconds = Phase.seconds();
   // Governor trips are hard stops (ErrKind::Limit, command rolls back),
   // unlike the RunOptions deadline below, a graceful partial-result stop
-  // before any of this iteration's matches is applied.
-  if (Graph.governorTripped())
+  // before any of this iteration's matches is applied. The byte ceiling
+  // counts the arenas here too, so a join it stopped reports MemoryLimit.
+  if (Graph.governorTripped(ArenaBytes.load()))
     return StopHere();
   if (expired(Due)) {
     Report.TimedOut = true;
@@ -304,21 +328,24 @@ bool Engine::step(const RunOptions &Options, const Deadline &Due,
       ++State.TimesBanned;
       AnyBanned = true;
       for (size_t I = First; I < Last; ++I)
-        std::vector<Value>().swap(Items[I].Arena);
+        std::vector<uint64_t>().swap(Items[I].Arena);
       continue;
     }
     State.DeltaStart = NextDeltaStart;
     Stats.Matches += Total;
     const Rule &TheRule = Rules[R];
+    const std::vector<SortId> &VarSorts = TheRule.Body.VarSorts;
     size_t Stride = TheRule.Body.NumVars;
     for (size_t I = First; I < Last; ++I) {
       const WorkItem &Item = Items[I];
       for (size_t M = 0; M < Item.Count; ++M) {
         if (!Graph.governorCheckpoint("apply.match"))
           return StopHere();
-        const Value *Match = Item.Arena.data() + M * Stride;
-        Env.assign(Match, Match + Stride);
-        Env.resize(TheRule.NumSlots);
+        // The match's values, then default slots for the action lets.
+        const uint64_t *Match = Item.Arena.data() + M * Stride;
+        Env.assign(TheRule.NumSlots, Value());
+        for (size_t V = 0; V < Stride; ++V)
+          Env[V] = Value(VarSorts[V], Match[V]);
         if (!Graph.runActions(TheRule.Actions, Env)) {
           if (Graph.failed())
             return StopHere();

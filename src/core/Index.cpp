@@ -16,11 +16,12 @@ using namespace egglog;
 namespace {
 
 /// The order of an All entry: the permuted cells, then the row id. It is
-/// total, so any two sorts of the same rows agree.
+/// total, so any two sorts of the same rows agree. Every cell of a column
+/// has the column's sort, so comparing payloads gives the Value order.
 struct RowLess {
-  const std::vector<const Value *> &Cols;
+  const std::vector<const uint64_t *> &Cols;
   bool operator()(uint32_t A, uint32_t B) const {
-    for (const Value *Col : Cols)
+    for (const uint64_t *Col : Cols)
       if (Col[A] != Col[B])
         return Col[A] < Col[B];
     return A < B;

@@ -198,7 +198,7 @@ private:
   Stats Counters;
   /// Scratch: the permuted column base pointers of the refresh in
   /// progress, so the sort comparator walks contiguous column arrays.
-  std::vector<const Value *> PermCols;
+  std::vector<const uint64_t *> PermCols;
 
   void sweepStaleSlow();
   /// Fills PermCols with the base pointers of \p Perm's columns.

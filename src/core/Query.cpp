@@ -32,11 +32,11 @@ struct AtomExec {
   /// Sorted candidate row ids, borrowed from the table's IndexCache by
   /// prepare(). Stable until the table is next mutated.
   const std::vector<uint32_t> *Rows = nullptr;
-  /// Base pointer of each term position's column array in the columnar
-  /// table storage: ColBase[Pos][(*Rows)[I]] is candidate I's value at
-  /// term position Pos. Captured by prepare(); stable until the table is
-  /// next mutated.
-  std::vector<const Value *> ColBase;
+  /// Base pointer of each term position's payload array in the columnar
+  /// table storage: ColBase[Pos][(*Rows)[I]] is the Bits of candidate I's
+  /// value at term position Pos, whose sort is the column's. Captured by
+  /// prepare(); stable until the table is next mutated.
+  std::vector<const uint64_t *> ColBase;
   /// Table version at prepare(), for join()'s freshness assertion.
   uint64_t PreparedVersion = 0;
   /// The atom's distinct variables, re-sorted to global variable order at
@@ -68,11 +68,12 @@ void insertionSort(Iter First, Iter Last, Less Cmp) {
       std::iter_swap(J, J - 1);
 }
 
-/// First index in [Lo, Hi) whose column value is >= \p V: a lower bound
+/// First index in [Lo, Hi) whose column payload is >= \p V: a lower bound
 /// over the id-indirected column array (Col[Ids[I]] is candidate I's
-/// value, non-decreasing over the range).
-size_t lowerBoundIds(const uint32_t *Ids, const Value *Col, size_t Lo,
-                     size_t Hi, Value V) {
+/// payload, non-decreasing over the range). Every cell of a column has one
+/// sort, so the payload order is the Value order.
+size_t lowerBoundIds(const uint32_t *Ids, const uint64_t *Col, size_t Lo,
+                     size_t Hi, uint64_t V) {
   while (Lo < Hi) {
     size_t Mid = Lo + (Hi - Lo) / 2;
     if (Col[Ids[Mid]] < V)
@@ -83,9 +84,9 @@ size_t lowerBoundIds(const uint32_t *Ids, const Value *Col, size_t Lo,
   return Lo;
 }
 
-/// First index in [Lo, Hi) whose column value is > \p V.
-size_t upperBoundIds(const uint32_t *Ids, const Value *Col, size_t Lo,
-                     size_t Hi, Value V) {
+/// First index in [Lo, Hi) whose column payload is > \p V.
+size_t upperBoundIds(const uint32_t *Ids, const uint64_t *Col, size_t Lo,
+                     size_t Hi, uint64_t V) {
   while (Lo < Hi) {
     size_t Mid = Lo + (Hi - Lo) / 2;
     if (V < Col[Ids[Mid]])
@@ -101,8 +102,8 @@ size_t upperBoundIds(const uint32_t *Ids, const Value *Col, size_t Lo,
 /// the final window. The batched join probes sweep each participant with
 /// an ascending run of candidate values, so successive answers are close
 /// together and the gallop costs O(log gap) instead of O(log range).
-size_t gallopLowerBoundIds(const uint32_t *Ids, const Value *Col, size_t Lo,
-                           size_t Hi, Value V) {
+size_t gallopLowerBoundIds(const uint32_t *Ids, const uint64_t *Col,
+                           size_t Lo, size_t Hi, uint64_t V) {
   if (Lo >= Hi || !(Col[Ids[Lo]] < V))
     return Lo;
   size_t Step = 1;
@@ -116,8 +117,8 @@ size_t gallopLowerBoundIds(const uint32_t *Ids, const Value *Col, size_t Lo,
 
 /// upperBoundIds with the same gallop-from-\p Lo strategy (equal runs are
 /// typically short, so the run end is near its start).
-size_t gallopUpperBoundIds(const uint32_t *Ids, const Value *Col, size_t Lo,
-                           size_t Hi, Value V) {
+size_t gallopUpperBoundIds(const uint32_t *Ids, const uint64_t *Col,
+                           size_t Lo, size_t Hi, uint64_t V) {
   if (Lo >= Hi || V < Col[Ids[Lo]])
     return Lo;
   size_t Step = 1;
@@ -167,7 +168,7 @@ struct egglog::QueryExecutor::Impl {
     return Prepared;
   }
 
-  void join(std::vector<Value> &Arena, size_t &Count,
+  void join(std::vector<uint64_t> &Arena, size_t &Count,
             const std::function<bool()> *TheCancel) {
     if (!Prepared)
       return;
@@ -193,9 +194,9 @@ private:
   const Query &Q;
   /// Whether the last prepare() found candidates for every atom.
   bool Prepared = false;
-  /// Match sink, armed for one join(): a flat arena (NumVars values per
-  /// match) plus a match counter.
-  std::vector<Value> *CollectArena = nullptr;
+  /// Match sink, armed for one join(): a flat arena (the Bits of NumVars
+  /// values per match; Q.VarSorts holds their sorts) plus a match counter.
+  std::vector<uint64_t> *CollectArena = nullptr;
   size_t *CollectCount = nullptr;
   const std::function<bool()> *Cancel = nullptr;
   uint64_t StepCount = 0;
@@ -429,13 +430,16 @@ private:
   /// column of the index permutation); returns false if empty. Saves
   /// nothing; caller snapshots ranges.
   bool narrowOn(AtomExec &Exec, unsigned Pos, Value V) {
+    assert(V.Sort ==
+               Graph.function(Exec.Atom->Func).Storage->columnSort(Pos) &&
+           "narrowing a column on a value of another sort");
     const uint32_t *Ids = Exec.Rows->data();
-    const Value *Col = Exec.ColBase[Pos];
-    size_t Lo = lowerBoundIds(Ids, Col, Exec.Lo, Exec.Hi, V);
-    if (Lo == Exec.Hi || Col[Ids[Lo]] != V)
+    const uint64_t *Col = Exec.ColBase[Pos];
+    size_t Lo = lowerBoundIds(Ids, Col, Exec.Lo, Exec.Hi, V.Bits);
+    if (Lo == Exec.Hi || Col[Ids[Lo]] != V.Bits)
       return false;
     Exec.Lo = Lo;
-    Exec.Hi = upperBoundIds(Ids, Col, Lo + 1, Exec.Hi, V);
+    Exec.Hi = upperBoundIds(Ids, Col, Lo + 1, Exec.Hi, V.Bits);
     return true;
   }
 
@@ -458,14 +462,17 @@ private:
   /// pre-sorted because the driver's groups are themselves a sorted run).
   bool narrowToSwept(AtomExec &Exec, Value V, size_t &Cursor) {
     const AtomCol &Col = Exec.Cols[Exec.Depth];
+    assert(V.Sort == Graph.function(Exec.Atom->Func)
+                         .Storage->columnSort(Col.Positions[0]) &&
+           "narrowing a column on a value of another sort");
     const uint32_t *Ids = Exec.Rows->data();
-    const Value *C = Exec.ColBase[Col.Positions[0]];
-    size_t Lo =
-        gallopLowerBoundIds(Ids, C, std::max(Exec.Lo, Cursor), Exec.Hi, V);
+    const uint64_t *C = Exec.ColBase[Col.Positions[0]];
+    size_t Lo = gallopLowerBoundIds(Ids, C, std::max(Exec.Lo, Cursor),
+                                    Exec.Hi, V.Bits);
     Cursor = Lo;
-    if (Lo == Exec.Hi || C[Ids[Lo]] != V)
+    if (Lo == Exec.Hi || C[Ids[Lo]] != V.Bits)
       return false;
-    size_t RunEnd = gallopUpperBoundIds(Ids, C, Lo + 1, Exec.Hi, V);
+    size_t RunEnd = gallopUpperBoundIds(Ids, C, Lo + 1, Exec.Hi, V.Bits);
     // The next candidate is strictly greater, so its run starts at or
     // after this run's end.
     Cursor = RunEnd;
@@ -486,10 +493,25 @@ private:
       assert(PendingPrims == 0 &&
              "primitive left unexecuted; typechecker should have "
              "rejected this query");
-      CollectArena->insert(CollectArena->end(), Env.begin(), Env.end());
-      ++*CollectCount;
+      appendMatch();
     }
     trailUndo(Mark);
+  }
+
+  /// Appends Env's payloads to the arena as one match. The arena keeps no
+  /// sorts: every variable's sort is Q.VarSorts'.
+  void appendMatch() {
+#ifndef NDEBUG
+    for (uint32_t V = 0; V < Q.NumVars; ++V)
+      assert(Env[V].Sort == Q.VarSorts[V] &&
+             "match variable bound to a value of another sort");
+#endif
+    size_t Base = CollectArena->size();
+    CollectArena->resize(Base + Q.NumVars);
+    uint64_t *Out = CollectArena->data() + Base;
+    for (uint32_t V = 0; V < Q.NumVars; ++V)
+      Out[V] = Env[V].Bits;
+    ++*CollectCount;
   }
 
   void joinLevel(size_t Level) {
@@ -563,7 +585,7 @@ private:
         Driver = Index;
     AtomExec &DriverExec = Atoms[Driver];
     const uint32_t *DriverIds = DriverExec.Rows->data();
-    const Value *DriverCol =
+    const uint64_t *DriverCol =
         DriverExec.ColBase[DriverExec.Cols[DriverExec.Depth].Positions[0]];
 
     // Batched probes: every non-driver participant keeps a sweep cursor.
@@ -577,12 +599,13 @@ private:
 
     size_t GroupStart = DriverExec.Lo;
     size_t DriverHi = DriverExec.Hi;
+    SortId VarSort = Q.VarSorts[Var];
     while (GroupStart < DriverHi) {
-      Value Candidate = DriverCol[DriverIds[GroupStart]];
+      uint64_t Bits = DriverCol[DriverIds[GroupStart]];
       size_t GroupEnd = GroupStart + 1;
-      while (GroupEnd < DriverHi &&
-             DriverCol[DriverIds[GroupEnd]] == Candidate)
+      while (GroupEnd < DriverHi && DriverCol[DriverIds[GroupEnd]] == Bits)
         ++GroupEnd;
+      Value Candidate(VarSort, Bits);
 
       Snapshot();
       size_t Mark = trailMark();
@@ -625,31 +648,33 @@ private:
   void binaryJoinLevel(size_t Level, uint32_t Var, AtomExec &Exec) {
     const AtomCol &Col = Exec.Cols[Exec.Depth];
     const uint32_t *Ids = Exec.Rows->data();
-    const Value *C = Exec.ColBase[Col.Positions[0]];
+    const uint64_t *C = Exec.ColBase[Col.Positions[0]];
     size_t SavedLo = Exec.Lo, SavedHi = Exec.Hi;
     unsigned SavedDepth = Exec.Depth;
+    SortId VarSort = Q.VarSorts[Var];
 
     if (Level + 1 == VarOrder.size() && Col.Positions.size() == 1 &&
         PendingPrims == 0) {
+      Env[Var].Sort = VarSort;
       for (size_t GroupStart = SavedLo; GroupStart < SavedHi;) {
         if (checkCancel())
           return;
-        Value Candidate = C[Ids[GroupStart]];
+        uint64_t Bits = C[Ids[GroupStart]];
         do
           ++GroupStart;
-        while (GroupStart < SavedHi && C[Ids[GroupStart]] == Candidate);
-        Env[Var] = Candidate;
-        CollectArena->insert(CollectArena->end(), Env.begin(), Env.end());
-        ++*CollectCount;
+        while (GroupStart < SavedHi && C[Ids[GroupStart]] == Bits);
+        Env[Var].Bits = Bits;
+        appendMatch();
       }
       return;
     }
 
     for (size_t GroupStart = SavedLo; GroupStart < SavedHi;) {
-      Value Candidate = C[Ids[GroupStart]];
+      uint64_t Bits = C[Ids[GroupStart]];
       size_t GroupEnd = GroupStart + 1;
-      while (GroupEnd < SavedHi && C[Ids[GroupEnd]] == Candidate)
+      while (GroupEnd < SavedHi && C[Ids[GroupEnd]] == Bits)
         ++GroupEnd;
+      Value Candidate(VarSort, Bits);
       Exec.Lo = GroupStart;
       Exec.Hi = GroupEnd;
       Exec.Depth = SavedDepth;
@@ -683,14 +708,15 @@ bool QueryExecutor::prepare(const std::vector<AtomFilter> &Filters,
   return I->prepare(Filters, DeltaBound);
 }
 
-void QueryExecutor::join(std::vector<Value> &Arena, size_t &Count,
+void QueryExecutor::join(std::vector<uint64_t> &Arena, size_t &Count,
                          const std::function<bool()> *Cancel) {
   I->join(Arena, Count, Cancel);
 }
 
 void QueryExecutor::executeCollect(const std::vector<AtomFilter> &Filters,
                                    uint32_t DeltaBound,
-                                   std::vector<Value> &Arena, size_t &Count,
+                                   std::vector<uint64_t> &Arena,
+                                   size_t &Count,
                                    const std::function<bool()> *Cancel) {
   I->prepare(Filters, DeltaBound);
   I->join(Arena, Count, Cancel);
@@ -700,14 +726,15 @@ void egglog::executeQuery(EGraph &Graph, const Query &Q,
                           const std::vector<AtomFilter> &Filters,
                           uint32_t DeltaBound, const MatchCallback &Callback,
                           const std::function<bool()> *Cancel) {
-  std::vector<Value> Arena;
+  std::vector<uint64_t> Arena;
   size_t Count = 0;
   QueryExecutor(Graph, Q).executeCollect(Filters, DeltaBound, Arena, Count,
                                          Cancel);
-  std::vector<Value> Env;
+  std::vector<Value> Env(Q.NumVars);
   for (size_t M = 0; M < Count; ++M) {
-    const Value *Match = Arena.data() + M * Q.NumVars;
-    Env.assign(Match, Match + Q.NumVars);
+    const uint64_t *Match = Arena.data() + M * Q.NumVars;
+    for (uint32_t V = 0; V < Q.NumVars; ++V)
+      Env[V] = Value(Q.VarSorts[V], Match[V]);
     Callback(Env);
   }
 }

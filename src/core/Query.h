@@ -18,7 +18,9 @@
 /// atoms restricted to old rows, and later atoms unrestricted; the engine
 /// runs one such variant per atom (makeDeltaVariantFilters in Index.h).
 ///
-/// Matches land in a flat arena, NumVars values each. The executeQuery
+/// Matches land in a flat arena of 8-byte payloads, NumVars per match: the
+/// query fixes every variable's sort (Query::VarSorts), so the arena keeps
+/// only the Bits and a reader re-attaches the sorts. The executeQuery
 /// convenience wrapper replays an arena through a per-match callback for
 /// tests and benchmarks.
 ///
@@ -69,17 +71,18 @@ public:
   bool prepare(const std::vector<AtomFilter> &Filters, uint32_t DeltaBound);
 
   /// Runs the join planned by the last prepare(), appending each match's
-  /// environment (NumVars values) to \p Arena and bumping \p Count — the
+  /// environment (the Bits of its NumVars values, in variable order; their
+  /// sorts are the query's VarSorts) to \p Arena and bumping \p Count — the
   /// engine's hot path, free of per-match indirect calls. If \p Cancel is
   /// provided it is polled periodically; returning true aborts the search
   /// (used to enforce run timeouts inside a single large join). The
   /// database must be unchanged since that prepare().
-  void join(std::vector<Value> &Arena, size_t &Count,
+  void join(std::vector<uint64_t> &Arena, size_t &Count,
             const std::function<bool()> *Cancel = nullptr);
 
   /// prepare() then join().
   void executeCollect(const std::vector<AtomFilter> &Filters,
-                      uint32_t DeltaBound, std::vector<Value> &Arena,
+                      uint32_t DeltaBound, std::vector<uint64_t> &Arena,
                       size_t &Count,
                       const std::function<bool()> *Cancel = nullptr);
 

@@ -1062,7 +1062,7 @@ bool parseTables(Staging &St, SpanReader &R, EggError &Err) {
   for (uint32_t F = 0; F < Count; ++F) {
     const FunctionDecl &Decl = St.Functions[F].Decl;
     unsigned NumKeys = static_cast<unsigned>(Decl.ArgSorts.size());
-    auto Staged = std::make_unique<Table>(NumKeys, F);
+    auto Staged = std::make_unique<Table>(Decl.columnSorts(), F);
     // Column classification mirrors EGraph::declareFunction so occurrence
     // indexing over the staged table matches a natively-built one.
     std::vector<unsigned> IdCols;

@@ -15,8 +15,10 @@
 
 using namespace egglog;
 
-Table::Table(unsigned NumKeys, FunctionId Func)
-    : NumKeys(NumKeys), Func(Func) {
+Table::Table(std::vector<SortId> Sorts, FunctionId Func)
+    : NumKeys(static_cast<unsigned>(Sorts.size()) - 1), Func(Func),
+      ColumnSorts(std::move(Sorts)) {
+  assert(!ColumnSorts.empty() && "a table has at least its output column");
   Columns.resize(rowWidth());
   Slots.assign(16, 0);
   SlotMask = Slots.size() - 1;
@@ -54,8 +56,8 @@ uint64_t Table::hashKeys(const Value *Keys) const {
 uint64_t Table::hashRow(size_t Row) const {
   uint64_t Hash = 1469598103934665603ull;
   for (unsigned I = 0; I < NumKeys; ++I) {
-    Value V = Columns[I][Row];
-    Hash ^= (static_cast<uint64_t>(V.Sort) << 32) ^ hashMix(V.Bits);
+    Hash ^= (static_cast<uint64_t>(ColumnSorts[I]) << 32) ^
+            hashMix(Columns[I][Row]);
     Hash *= 1099511628211ull;
   }
   return hashMix(Hash);
@@ -63,12 +65,17 @@ uint64_t Table::hashRow(size_t Row) const {
 
 bool Table::keysEqual(size_t Row, const Value *Keys) const {
   for (unsigned I = 0; I < NumKeys; ++I)
-    if (Columns[I][Row] != Keys[I])
+    if (Columns[I][Row] != Keys[I].Bits)
       return false;
   return true;
 }
 
 int64_t Table::findRow(const Value *Keys) const {
+  // A key of another sort is absent; checked once here, so the probe loop
+  // compares payloads only.
+  for (unsigned I = 0; I < NumKeys; ++I)
+    if (Keys[I].Sort != ColumnSorts[I])
+      return -1;
   uint64_t Hash = hashKeys(Keys);
   size_t Slot = Hash & SlotMask;
   while (true) {
@@ -145,9 +152,12 @@ void Table::unlinkRow(size_t Row) {
 
 size_t Table::appendRow(const Value *Keys, Value Out, uint32_t Stamp) {
   size_t NewRow = Stamps.size();
-  for (unsigned I = 0; I < NumKeys; ++I)
-    Columns[I].push_back(Keys[I]);
-  Columns[NumKeys].push_back(Out);
+  for (unsigned I = 0; I < NumKeys; ++I) {
+    assert(Keys[I].Sort == ColumnSorts[I] && "key of the wrong sort");
+    Columns[I].push_back(Keys[I].Bits);
+  }
+  assert(Out.Sort == ColumnSorts[NumKeys] && "output of the wrong sort");
+  Columns[NumKeys].push_back(Out.Bits);
   assert((Stamps.empty() || Stamps.back() <= Stamp) &&
          "row stamps must not decrease");
   Stamps.push_back(Stamp);
@@ -196,7 +206,7 @@ void Table::catchUpOccurrences() {
     if (!Live[Row])
       continue; // died before any rebuild could need it
     for (unsigned Col : IdColumns) {
-      uint64_t Id = Columns[Col][Row].Bits;
+      uint64_t Id = Columns[Col][Row];
       if (Id >= OccHead.size()) {
         // Ids are dense union-find indexes; grow geometrically so repeated
         // fresh ids stay amortized-constant.
@@ -273,7 +283,7 @@ void Table::rollbackTo(const TxnMark &M) {
     if (KillLog[K] < M.Rows)
       Live[KillLog[K]] = true;
   KillLog.resize(M.KillLogSize);
-  for (std::vector<Value> &Col : Columns)
+  for (std::vector<uint64_t> &Col : Columns)
     Col.resize(M.Rows);
   Stamps.resize(M.Rows);
   Live.resize(M.Rows);
@@ -290,8 +300,8 @@ size_t Table::approxBytes() const {
                  Slots.capacity() * sizeof(uint64_t) +
                  OccHead.capacity() * sizeof(int32_t) +
                  OccPool.capacity() * sizeof(OccNode);
-  for (const std::vector<Value> &Col : Columns)
-    Bytes += Col.capacity() * sizeof(Value);
+  for (const std::vector<uint64_t> &Col : Columns)
+    Bytes += Col.capacity() * sizeof(uint64_t);
   if (Indexes)
     Bytes += Indexes->approxBytes();
   return Bytes;

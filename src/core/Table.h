@@ -13,12 +13,14 @@
 /// i is exactly the live suffix of rows appended during iteration i
 /// (Algorithm 1 of the paper).
 ///
-/// Storage is column-major: one contiguous Value array per term position
-/// (keys, then the output), like the source paper's reference
-/// implementation. The generic join compares one column of many rows at a
-/// time, so a column-major layout turns its inner loops into cache-linear
-/// scans instead of strided row-major loads; see DESIGN.md "Columnar
-/// storage and vectorized joins".
+/// Storage is column-major: one contiguous array of 8-byte payloads per term
+/// position (keys, then the output), like the source paper's reference
+/// implementation. Every function has a fixed signature (§3.2), so a
+/// column's sort is its declaration's: the table keeps it once per column,
+/// fixed at construction, and cell() re-attaches it. The generic join
+/// compares one column of many rows at a time, so a column-major layout
+/// turns its inner loops into cache-linear scans instead of strided
+/// row-major loads; see DESIGN.md "Columnar storage and vectorized joins".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +44,11 @@ class IndexCache;
 /// bitmap, insertion timestamps, and an open-addressing index on keys.
 class Table {
 public:
-  /// \p Func is the function whose rows this table stores; it seeds every
-  /// row's content hash so identical rows of different functions differ.
-  explicit Table(unsigned NumKeys, FunctionId Func = 0);
+  /// \p ColumnSorts gives the sort of every term position, keys first,
+  /// then the output; it fixes the table's width. \p Func is the function
+  /// whose rows this table stores; it seeds every row's content hash so
+  /// identical rows of different functions differ.
+  explicit Table(std::vector<SortId> ColumnSorts, FunctionId Func = 0);
   ~Table();
   Table(const Table &) = delete;
   Table &operator=(const Table &) = delete;
@@ -62,7 +66,8 @@ public:
   /// Looks up the output for a key tuple; nullopt if absent.
   std::optional<Value> lookup(const Value *Keys) const;
 
-  /// Returns the row index holding \p Keys, or -1.
+  /// Returns the row index holding \p Keys, or -1. A key whose sort is not
+  /// its column's matches no row.
   int64_t findRow(const Value *Keys) const;
 
   /// Inserts keys -> Out with the given timestamp, which must be no lower
@@ -201,12 +206,18 @@ public:
 
   /// The value at (row, column). Columns are the NumKeys key positions
   /// then the output at index NumKeys.
-  Value cell(size_t Row, unsigned Col) const { return Columns[Col][Row]; }
-  Value output(size_t Row) const { return Columns[NumKeys][Row]; }
+  Value cell(size_t Row, unsigned Col) const {
+    return Value(ColumnSorts[Col], Columns[Col][Row]);
+  }
+  Value output(size_t Row) const { return cell(Row, NumKeys); }
 
-  /// Base pointer of one column's contiguous value array. Stable for as
-  /// long as the table is not mutated (an append may reallocate).
-  const Value *column(unsigned Col) const { return Columns[Col].data(); }
+  /// The sort of every cell of column \p Col (its declaration's).
+  SortId columnSort(unsigned Col) const { return ColumnSorts[Col]; }
+
+  /// Base pointer of one column's contiguous payload array (the Bits of
+  /// each cell; the sort is columnSort()). Stable for as long as the table
+  /// is not mutated (an append may reallocate).
+  const uint64_t *column(unsigned Col) const { return Columns[Col].data(); }
 
   /// Base pointer of the stamp column (parallel to every value column).
   const uint32_t *stampColumn() const { return Stamps.data(); }
@@ -214,7 +225,7 @@ public:
   /// Gathers row \p Row into \p Out (rowWidth() values: keys then output).
   void copyRow(size_t Row, Value *Out) const {
     for (unsigned I = 0; I < rowWidth(); ++I)
-      Out[I] = Columns[I][Row];
+      Out[I] = cell(Row, I);
   }
 
   /// Kills a live row by index: same effect as erase() on its keys, but
@@ -253,9 +264,12 @@ public:
 private:
   unsigned NumKeys;
   FunctionId Func;
-  /// Column-major row storage: Columns[C][R] is the value of term position
-  /// C in row R. rowWidth() arrays, allocated at construction.
-  std::vector<std::vector<Value>> Columns;
+  /// The sort of each term position, fixed at construction.
+  std::vector<SortId> ColumnSorts;
+  /// Column-major row storage: Columns[C][R] is the payload of term
+  /// position C in row R, whose sort is ColumnSorts[C]. rowWidth() arrays,
+  /// allocated at construction.
+  std::vector<std::vector<uint64_t>> Columns;
   std::vector<uint32_t> Stamps;
   std::vector<bool> Live;
   /// See liveHash().
@@ -303,9 +317,9 @@ private:
   uint64_t hashRow(size_t Row) const;
   /// rowHash of stored row \p Row.
   uint64_t contentHash(size_t Row) const {
-    return rowHash(Func, rowWidth(),
-                   [&](unsigned I) { return Columns[I][Row]; });
+    return rowHash(Func, rowWidth(), [&](unsigned I) { return cell(Row, I); });
   }
+  /// Compares the payloads only: findRow checked the key sorts.
   bool keysEqual(size_t Row, const Value *Keys) const;
   /// Appends (Keys..., Out) as a fresh live row and links it into the hash
   /// index; shared by both insert() arms.

@@ -8,8 +8,12 @@
 /// The runtime value representation. Following §4.2 of the paper, a value is
 /// either an interpreted constant (i64, bool, string, rational, set, ...) or
 /// an uninterpreted constant (an e-class id drawn from the global id
-/// universe). Every value carries its sort tag so the database can
-/// canonicalize and typecheck uniformly.
+/// universe). A Value in flight (an environment, an action, a primitive's
+/// arguments, a snapshot record) carries its sort tag so the database can
+/// canonicalize and typecheck uniformly. Stored cells and match arenas do
+/// not: a table column's sort is its function's declaration (Table.h), a
+/// match variable's is its query's (Query.h), so both keep only the 8-byte
+/// payload and re-attach the sort on read.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -75,7 +75,8 @@ public:
   void setMaxLive(size_t Max) { MaxLive = Max; }
   size_t maxLive() const { return MaxLive; }
 
-  /// Ceiling on approximate bytes allocated by tables + union-find; 0
+  /// Ceiling on approximate bytes allocated by tables, union-find, the
+  /// extraction index, and (while a match phase runs) its match arenas; 0
   /// disables. Approximate: container capacities, not allocator truth.
   void setMaxBytes(size_t Max) { MaxBytes = Max; }
   size_t maxBytes() const { return MaxBytes; }

@@ -207,6 +207,51 @@ TEST(GovernorTest, MemoryCeilingCountsTheExtractionIndex) {
   EXPECT_TRUE(F.execute("(extract e)")) << F.error();
 }
 
+TEST(GovernorTest, MemoryCeilingCountsMatchArenas) {
+  // Each rule's match arena dwarfs the graph: the cross product of a
+  // 300-row relation is 90,000 matches of two variables, 1.4 MB of
+  // payloads, against a graph of tens of KB. A ceiling between the two
+  // stops the join. The checkpoint interval outlasts the run, so apply and
+  // rebuild poll once, before the graph grows: only the match phase's own
+  // check, which adds the arenas to the graph's bytes, can trip. At 4
+  // threads the two rules join concurrently into the shared counter.
+  constexpr size_t Rows = 300;
+  std::string Facts;
+  for (size_t I = 0; I < Rows; ++I)
+    Facts += "(R " + std::to_string(I) + ")\n";
+  for (unsigned Threads : {1u, 4u}) {
+    Frontend F;
+    F.engine().setThreads(Threads);
+    ASSERT_TRUE(F.execute(R"(
+      (relation R (i64))
+      (relation P (i64 i64))
+      (relation Q (i64 i64))
+      (rule ((R a) (R b)) ((P a b)))
+      (rule ((R a) (R b)) ((Q b a)))
+    )")) << F.error();
+    ASSERT_TRUE(F.execute(Facts)) << F.error();
+    StateFingerprint Before = fingerprint(F);
+    size_t Arena = Rows * Rows * 2 * sizeof(uint64_t);
+    size_t Ceiling = F.graph().approxBytes() + Arena / 4;
+    F.graph().governor().setCheckpointInterval(1u << 30);
+    F.graph().governor().setMaxBytes(Ceiling);
+    EXPECT_FALSE(F.execute("(run 1)")) << Threads << " threads";
+    EXPECT_EQ(F.lastError().Kind, ErrKind::Limit);
+    EXPECT_NE(F.error().find("memory ceiling of " + std::to_string(Ceiling) +
+                             " bytes exceeded"),
+              std::string::npos)
+        << F.error();
+    EXPECT_EQ(fingerprint(F), Before) << Threads << " threads";
+
+    // The ceiling was the only obstacle.
+    F.graph().governor().setMaxBytes(0);
+    ASSERT_TRUE(F.execute("(run 1)")) << F.error();
+    FunctionId P;
+    ASSERT_TRUE(F.graph().lookupFunctionName("P", P));
+    EXPECT_EQ(F.graph().function(P).Storage->liveCount(), Rows * Rows);
+  }
+}
+
 TEST(GovernorTest, CancelFromAnotherThreadRollsBack) {
   Frontend F;
   setupExplosive(F);

@@ -23,10 +23,12 @@ using namespace egglog;
 
 namespace {
 
-Value v(uint64_t Bits, uint32_t Sort = 2) { return Value(Sort, Bits); }
+/// The sort of every column of the bare tables below (v()'s default).
+constexpr SortId S = 2;
+Value v(uint64_t Bits, uint32_t Sort = S) { return Value(Sort, Bits); }
 
 TEST(TableVersionTest, BumpsOnInsert) {
-  Table T(2);
+  Table T({S, S, S});
   uint64_t V0 = T.version();
   Value Keys[2] = {v(1), v(2)};
   T.insert(Keys, v(10), 0);
@@ -43,7 +45,7 @@ TEST(TableVersionTest, BumpsOnInsert) {
 }
 
 TEST(TableVersionTest, BumpsOnEraseAndRollback) {
-  Table T(1);
+  Table T({S, S});
   Table::TxnMark Empty = T.txnMark();
   Value Key[1] = {v(7)};
   T.insert(Key, v(1), 0);
@@ -132,7 +134,7 @@ TEST(IndexCacheTest, ReusedAcrossQueriesAndInvalidatedByMutation) {
 }
 
 TEST(IndexCacheTest, RollbackThenRegrowStaysSorted) {
-  Table T(1);
+  Table T({S, S});
   Table::TxnMark Empty = T.txnMark();
   for (uint64_t I = 0; I < 5; ++I) {
     Value Key[1] = {v(I)};
@@ -158,7 +160,7 @@ TEST(IndexCacheTest, RollbackThenRegrowStaysSorted) {
 }
 
 TEST(IndexCacheTest, DerivedPartitionsFilterByStampAndStaySorted) {
-  Table T(2);
+  Table T({S, S, S});
   for (uint64_t I = 0; I < 40; ++I) {
     Value Keys[2] = {v(I % 7), v(39 - I)};
     T.insert(Keys, v(I), static_cast<uint32_t>(I / 10));
@@ -321,7 +323,7 @@ TEST_P(IndexRollbackTest, RepairedEntriesEqualAFreshBuild) {
   };
   const std::vector<std::vector<unsigned>> Perms = {
       {0, 1, 2}, {1, 0}, {2}, {2, 1, 0}};
-  Table T(2);
+  Table T({S, S, S});
   uint32_t Clock = 0;
   std::vector<Table::TxnMark> Marks;
   size_t Rollbacks = 0;

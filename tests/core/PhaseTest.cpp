@@ -407,7 +407,7 @@ TEST(WarmUpContractTest, ReadOnlyExecutionAfterWarm) {
 
   // Reference matches through prepare+join in one call.
   QueryExecutor Reference(Db.G, Db.Q);
-  std::vector<Value> Expected;
+  std::vector<uint64_t> Expected;
   size_t ExpectedCount = 0;
   Reference.executeCollect({}, 0, Expected, ExpectedCount);
 
@@ -418,7 +418,7 @@ TEST(WarmUpContractTest, ReadOnlyExecutionAfterWarm) {
   uint64_t VersionBefore = T.version();
   IndexCache::Stats Before = T.indexes().stats();
 
-  std::vector<Value> Got;
+  std::vector<uint64_t> Got;
   size_t GotCount = 0;
   Exec.join(Got, GotCount);
 
@@ -459,7 +459,7 @@ TEST(WarmUpContractTest, ReadOnlyDeltaVariantsAfterWarm) {
     uint64_t VersionBefore = T.version();
     IndexCache::Stats Before = T.indexes().stats();
 
-    std::vector<Value> Got;
+    std::vector<uint64_t> Got;
     size_t GotCount = 0;
     Execs[Variant].join(Got, GotCount);
 
@@ -470,7 +470,7 @@ TEST(WarmUpContractTest, ReadOnlyDeltaVariantsAfterWarm) {
     EXPECT_EQ(After.Derivations, Before.Derivations) << "variant " << Variant;
 
     QueryExecutor Reference(Db.G, Db.Q);
-    std::vector<Value> Expected;
+    std::vector<uint64_t> Expected;
     size_t ExpectedCount = 0;
     Reference.executeCollect(Filters[Variant], Bound, Expected,
                              ExpectedCount);
@@ -496,7 +496,7 @@ TEST(WarmUpContractTest, PrepareRejectsEmptyDeltaVariant) {
   const Table &T = *Db.G.function(Db.Edge).Storage;
   uint64_t VersionBefore = T.version();
   IndexCache::Stats Before = T.indexes().stats();
-  std::vector<Value> Got;
+  std::vector<uint64_t> Got;
   size_t GotCount = 0;
   Exec.join(Got, GotCount);
   EXPECT_EQ(GotCount, 0u);

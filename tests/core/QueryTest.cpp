@@ -217,6 +217,72 @@ TEST_F(QueryTestFixture, QueryWithNoAtomsRunsPrimsOnce) {
   EXPECT_EQ(Results, Expected);
 }
 
+TEST(QueryTest, MatchesKeepEachVariablesSortOverSharedPayloads) {
+  // (R i64 E) with every row's i64 and E id holding the same payload. The
+  // columns and the match arena keep payloads only; each match must come
+  // back with every variable's own sort, through the multi-participant
+  // level (y) and the last-level column scan (z).
+  EGraph G;
+  SortId E = G.declareSort("E");
+  FunctionDecl Decl;
+  Decl.Name = "R";
+  Decl.ArgSorts = {SortTable::I64Sort, E};
+  Decl.OutSort = SortTable::UnitSort;
+  FunctionId R = G.declareFunction(std::move(Decl));
+  std::set<std::vector<uint64_t>> Expected;
+  std::vector<Value> Ids;
+  for (int I = 0; I < 5; ++I)
+    Ids.push_back(G.freshId(E));
+  for (Value Id : Ids) {
+    uint64_t Twin = Id.Bits + 100;
+    for (uint64_t X : {Id.Bits, Twin}) {
+      Value Keys[2] = {G.mkI64(static_cast<int64_t>(X)), Id};
+      ASSERT_TRUE(G.setValue(R, Keys, G.mkUnit()));
+      for (uint64_t Z : {Id.Bits, Twin})
+        Expected.insert({X, Id.Bits, Z});
+    }
+  }
+
+  // R(x, y), R(z, y).
+  Query Q;
+  Q.NumVars = 3;
+  Q.VarSorts = {SortTable::I64Sort, E, SortTable::I64Sort};
+  for (uint32_t X : {0u, 2u}) {
+    QueryAtom A;
+    A.Func = R;
+    A.Terms = {VarOrConst::makeVar(X), VarOrConst::makeVar(1),
+               VarOrConst::makeConst(G.mkUnit())};
+    Q.Atoms.push_back(A);
+  }
+  std::set<std::vector<uint64_t>> Got;
+  size_t Count = 0;
+  executeQuery(G, Q, [&](const std::vector<Value> &Env) {
+    ASSERT_EQ(Env.size(), 3u);
+    EXPECT_EQ(Env[0].Sort, SortTable::I64Sort);
+    EXPECT_EQ(Env[1].Sort, E);
+    EXPECT_EQ(Env[2].Sort, SortTable::I64Sort);
+    Got.insert({Env[0].Bits, Env[1].Bits, Env[2].Bits});
+    ++Count;
+  });
+  EXPECT_EQ(Got, Expected);
+  EXPECT_EQ(Count, Expected.size());
+
+  // A constant narrows its column by payload within the column's sort: the
+  // i64 twin of an id selects that id's rows only.
+  Query Anchored;
+  Anchored.NumVars = 1;
+  Anchored.VarSorts = {E};
+  QueryAtom A;
+  A.Func = R;
+  A.Terms = {VarOrConst::makeConst(G.mkI64(static_cast<int64_t>(Ids[2].Bits))),
+             VarOrConst::makeVar(0), VarOrConst::makeConst(G.mkUnit())};
+  Anchored.Atoms = {A};
+  std::vector<Value> Anchors;
+  executeQuery(G, Anchored,
+               [&](const std::vector<Value> &Env) { Anchors.push_back(Env[0]); });
+  EXPECT_EQ(Anchors, std::vector<Value>{Ids[2]});
+}
+
 /// Property: the generic join and the oracle's nested-loop join agree on
 /// random graphs for triangle queries (the classic worst-case-optimal
 /// showcase): the same match multiset.

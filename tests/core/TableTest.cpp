@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <random>
 #include <unordered_map>
@@ -19,11 +20,13 @@ using egglog::Table;
 using egglog::Value;
 
 namespace {
-Value v(uint64_t Bits, uint32_t Sort = 2) { return Value(Sort, Bits); }
+/// The sort of every column of the tables below (v()'s default).
+constexpr egglog::SortId S = 2;
+Value v(uint64_t Bits, uint32_t Sort = S) { return Value(Sort, Bits); }
 } // namespace
 
 TEST(TableTest, InsertAndLookup) {
-  Table T(2);
+  Table T({S, S, S});
   Value Keys[2] = {v(1), v(2)};
   EXPECT_FALSE(T.lookup(Keys).has_value());
   EXPECT_FALSE(T.insert(Keys, v(10), 0).has_value());
@@ -34,7 +37,7 @@ TEST(TableTest, InsertAndLookup) {
 }
 
 TEST(TableTest, UpdateKillsOldRowAndReturnsPrevious) {
-  Table T(1);
+  Table T({S, S});
   Value Key[1] = {v(7)};
   T.insert(Key, v(100), 0);
   auto Old = T.insert(Key, v(200), 1);
@@ -49,7 +52,7 @@ TEST(TableTest, UpdateKillsOldRowAndReturnsPrevious) {
 }
 
 TEST(TableTest, IdenticalReinsertIsANoOp) {
-  Table T(1);
+  Table T({S, S});
   Value Key[1] = {v(7)};
   T.insert(Key, v(100), 0);
   EXPECT_FALSE(T.insert(Key, v(100), 5).has_value());
@@ -58,7 +61,7 @@ TEST(TableTest, IdenticalReinsertIsANoOp) {
 }
 
 TEST(TableTest, EraseUnlinksRow) {
-  Table T(1);
+  Table T({S, S});
   Value KeyA[1] = {v(1)}, KeyB[1] = {v(2)};
   T.insert(KeyA, v(10), 0);
   T.insert(KeyB, v(20), 0);
@@ -70,7 +73,7 @@ TEST(TableTest, EraseUnlinksRow) {
 }
 
 TEST(TableTest, NullaryTable) {
-  Table T(0);
+  Table T({S});
   Value Dummy;
   EXPECT_FALSE(T.lookup(&Dummy).has_value());
   T.insert(&Dummy, v(42), 0);
@@ -81,7 +84,7 @@ TEST(TableTest, NullaryTable) {
 }
 
 TEST(TableTest, GrowsPastInitialCapacity) {
-  Table T(1);
+  Table T({S, S});
   for (uint64_t I = 0; I < 1000; ++I) {
     Value Key[1] = {v(I)};
     T.insert(Key, v(I * 2), 0);
@@ -95,7 +98,7 @@ TEST(TableTest, GrowsPastInitialCapacity) {
 }
 
 TEST(TableTest, DistinguishesSorts) {
-  Table T(1);
+  Table T({S, S});
   Value KeyA[1] = {Value(2, 5)};
   Value KeyB[1] = {Value(3, 5)};
   T.insert(KeyA, v(1), 0);
@@ -106,7 +109,7 @@ TEST(TableTest, DistinguishesSorts) {
 TEST(TableTest, OccurrenceWalkLeavesTheListInPlace) {
   // forEachOccurrence reads an id's live rows (key or output column) and
   // keeps the list.
-  Table T(1);
+  Table T({S, S});
   T.setIdColumns({0, 1});
   Value K1[1] = {v(1)}, K2[1] = {v(2)}, K5[1] = {v(5)}, K4[1] = {v(4)};
   T.insert(K1, v(5), 0); // row 0: output 5
@@ -139,6 +142,79 @@ TEST(TableTest, OccurrenceWalkLeavesTheListInPlace) {
   EXPECT_EQ(Visited, 1u);
 }
 
+TEST(TableTest, CellsKeepColumnSorts) {
+  // Three columns of three sorts over one payload range: a cell's sort
+  // comes from its column. Through inserts, updates, erases and nested
+  // rollbacks, every live cell reads back with its column's sort, and
+  // liveHash() equals a recomputation from the modelled Values.
+  const std::vector<egglog::SortId> Sorts = {3, 5, 7};
+  constexpr egglog::FunctionId Func = 4;
+  Table T(Sorts, Func);
+  for (unsigned C = 0; C < 3; ++C)
+    EXPECT_EQ(T.columnSort(C), Sorts[C]);
+  using Model = std::map<std::pair<uint64_t, uint64_t>, uint64_t>;
+  Model Rows;
+  std::vector<std::pair<Table::TxnMark, Model>> Marks;
+  std::mt19937 Rng(32);
+  for (int Step = 0; Step < 3000; ++Step) {
+    uint64_t A = Rng() % 6, B = Rng() % 6;
+    Value Keys[2] = {v(A, 3), v(B, 5)};
+    switch (Rng() % 8) {
+    case 0:
+      EXPECT_EQ(T.erase(Keys), Rows.erase({A, B}) > 0) << "step " << Step;
+      break;
+    case 1:
+      if (Marks.size() < 4)
+        Marks.emplace_back(T.txnMark(), Rows);
+      break;
+    case 2:
+      if (!Marks.empty()) {
+        T.rollbackTo(Marks.back().first);
+        Rows = Marks.back().second;
+        if (Rng() % 2)
+          Marks.pop_back();
+      }
+      break;
+    case 3: {
+      // The same payloads under the other key sorts name no row.
+      Value Swapped[2] = {v(A, 5), v(B, 3)};
+      EXPECT_EQ(T.findRow(Swapped), -1) << "step " << Step;
+      std::optional<Value> Found = T.lookup(Keys);
+      ASSERT_EQ(Found.has_value(), Rows.count({A, B}) > 0) << "step " << Step;
+      if (Found) {
+        EXPECT_TRUE(*Found == v(Rows[{A, B}], 7)) << "step " << Step;
+      }
+      break;
+    }
+    default: {
+      uint64_t Out = Rng() % 6;
+      T.insert(Keys, v(Out, 7), static_cast<uint32_t>(Step / 50));
+      Rows[{A, B}] = Out;
+      break;
+    }
+    }
+    uint64_t Hash = 0;
+    for (const auto &[Key, Out] : Rows) {
+      Value Cells[3] = {v(Key.first, 3), v(Key.second, 5), v(Out, 7)};
+      Hash += Table::rowHash(Func, 3, [&](unsigned I) { return Cells[I]; });
+    }
+    ASSERT_EQ(T.liveHash(), Hash) << "step " << Step;
+    ASSERT_EQ(T.liveCount(), Rows.size()) << "step " << Step;
+    for (size_t Row : T.liveRows()) {
+      Value Cells[3];
+      T.copyRow(Row, Cells);
+      for (unsigned C = 0; C < 3; ++C) {
+        ASSERT_EQ(T.cell(Row, C).Sort, Sorts[C]) << "step " << Step;
+        ASSERT_TRUE(Cells[C] == T.cell(Row, C)) << "step " << Step;
+      }
+      ASSERT_EQ(T.output(Row).Sort, Sorts[2]) << "step " << Step;
+      auto It = Rows.find({Cells[0].Bits, Cells[1].Bits});
+      ASSERT_TRUE(It != Rows.end()) << "step " << Step;
+      ASSERT_EQ(It->second, Cells[2].Bits) << "step " << Step;
+    }
+  }
+}
+
 /// Property sweep: the table agrees with a std::unordered_map oracle under
 /// random insert/update/erase workloads (including backward-shift deletion
 /// stress).
@@ -148,7 +224,7 @@ TEST_P(TablePropertyTest, MatchesMapOracle) {
   std::mt19937 Rng(GetParam());
   std::uniform_int_distribution<uint64_t> KeyDist(0, 200);
   std::uniform_int_distribution<int> OpDist(0, 3);
-  Table T(1);
+  Table T({S, S});
   std::unordered_map<uint64_t, uint64_t> Oracle;
   uint32_t Stamp = 0;
   for (int Step = 0; Step < 3000; ++Step) {
@@ -198,7 +274,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TablePropertyTest,
 //===----------------------------------------------------------------------===
 
 TEST(TableColumnarTest, CellColumnAndCopyRowAgree) {
-  Table T(2);
+  Table T({S, S, S});
   for (uint64_t I = 0; I < 64; ++I) {
     Value Keys[2] = {v(I), v(I * 3)};
     T.insert(Keys, v(I * 7), static_cast<uint32_t>(I));
@@ -214,12 +290,13 @@ TEST(TableColumnarTest, CellColumnAndCopyRowAgree) {
     for (unsigned C = 0; C < 3; ++C)
       EXPECT_TRUE(Out[C] == T.cell(Row, C));
   }
-  // column() exposes each position as one contiguous array: indexing the
-  // base pointer by row must agree with cell() for every position.
+  // column() exposes each position as one contiguous payload array:
+  // indexing the base pointer by row, under the column's sort, must agree
+  // with cell() for every position.
   for (unsigned C = 0; C < T.rowWidth(); ++C) {
-    const Value *Col = T.column(C);
+    const uint64_t *Col = T.column(C);
     for (size_t Row = 0; Row < T.rowCount(); ++Row)
-      EXPECT_TRUE(Col[Row] == T.cell(Row, C));
+      EXPECT_TRUE(Value(T.columnSort(C), Col[Row]) == T.cell(Row, C));
   }
   const uint32_t *Stamps = T.stampColumn();
   for (size_t Row = 0; Row < T.rowCount(); ++Row)
@@ -227,7 +304,7 @@ TEST(TableColumnarTest, CellColumnAndCopyRowAgree) {
 }
 
 TEST(TableColumnarTest, EraseRowMatchesEraseByKey) {
-  Table A(1), B(1);
+  Table A({S, S}), B({S, S});
   for (uint64_t I = 0; I < 100; ++I) {
     Value Key[1] = {v(I)};
     A.insert(Key, v(I + 1), 0);
@@ -252,7 +329,7 @@ TEST(TableColumnarTest, EraseRowMatchesEraseByKey) {
 }
 
 TEST(TableColumnarTest, RollbackResurrectsAndTruncatesColumns) {
-  Table T(1);
+  Table T({S, S});
   for (uint64_t I = 0; I < 50; ++I) {
     Value Key[1] = {v(I)};
     T.insert(Key, v(I), 0);
@@ -288,7 +365,7 @@ TEST(TableColumnarTest, NestedMarkRollbackRoundTrip) {
   // A (push) context's mark stays open across the per-command marks inside
   // it: an inner rollback must land exactly on the inner mark's state and
   // leave the outer mark valid for its own rollback later.
-  Table T(2);
+  Table T({S, S, S});
   for (uint64_t I = 0; I < 40; ++I) {
     Value Keys[2] = {v(I), v(I * 2)};
     T.insert(Keys, v(I * 5), static_cast<uint32_t>(I / 10));
@@ -368,7 +445,7 @@ TEST(TableTest, LiveHashMatchesSweepAcrossNestedRollbacks) {
   // count, must equal a from-scratch sweep of the live rows.
   constexpr egglog::FunctionId Func = 7;
   std::mt19937 Rng(20);
-  Table T(2, Func);
+  Table T({S, S, S}, Func);
   std::vector<Table::TxnMark> Marks;
   auto Key = [&](Value *Keys) {
     Keys[0] = v(Rng() % 24);
@@ -414,7 +491,7 @@ TEST(TableTest, LiveHashMatchesSweepAcrossNestedRollbacks) {
   }
   // The function id seeds every row hash: the same rows stored for
   // another function hash differently.
-  Table Other(2, Func + 1);
+  Table Other({S, S, S}, Func + 1);
   for (size_t Row : T.liveRows()) {
     Value Cells[3];
     T.copyRow(Row, Cells);
@@ -426,15 +503,16 @@ TEST(TableTest, LiveHashMatchesSweepAcrossNestedRollbacks) {
 }
 
 TEST(TableColumnarTest, ApproxBytesTracksColumnPayload) {
-  Table T(3);
+  Table T({S, S, S, S});
   size_t Empty = T.approxBytes();
   for (uint64_t I = 0; I < 2000; ++I) {
     Value Keys[3] = {v(I), v(I + 1), v(I + 2)};
     T.insert(Keys, v(I * 2), 0);
   }
   size_t Filled = T.approxBytes();
-  // Four value columns of 2000 rows is the hard floor; the accounting must
-  // cover at least the column payload plus stamps and the hash index.
-  EXPECT_GE(Filled, Empty + 4 * 2000 * sizeof(Value));
-  EXPECT_GE(Filled, 2000 * (4 * sizeof(Value) + sizeof(uint32_t)));
+  // Four 8-byte payload columns of 2000 rows is the hard floor; the
+  // accounting must cover at least the column payload plus stamps and the
+  // hash index.
+  EXPECT_GE(Filled, Empty + 4 * 2000 * sizeof(uint64_t));
+  EXPECT_GE(Filled, 2000 * (4 * sizeof(uint64_t) + sizeof(uint32_t)));
 }
