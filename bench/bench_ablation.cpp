@@ -3,6 +3,8 @@
 // Part of egglog-cpp. Google-benchmark microbenchmarks for the design
 // choices DESIGN.md calls out:
 //   * the worst-case-optimal generic join on triangle queries (§5.1),
+//   * one join level on its own: a two-atom path whose last two levels
+//     each have one participant,
 //   * semi-naïve vs naïve evaluation (§4.3),
 //   * the resource governor's steady-state checkpoint overhead (read
 //     BM_SemiNaiveTCGoverned against BM_SemiNaiveTC at the same argument;
@@ -22,8 +24,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <initializer_list>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace egglog;
@@ -41,37 +45,58 @@ void populateEdges(EGraph &G, FunctionId Edge, unsigned Nodes,
   }
 }
 
-Query triangleQuery(EGraph &G, FunctionId Edge) {
+FunctionId declareEdge(EGraph &G) {
+  FunctionDecl Decl;
+  Decl.Name = "edge";
+  Decl.ArgSorts = {SortTable::I64Sort, SortTable::I64Sort};
+  Decl.OutSort = SortTable::UnitSort;
+  return G.declareFunction(std::move(Decl));
+}
+
+/// A query over three i64 variables with one edge(A, B) atom per pair.
+Query edgeQuery(EGraph &G, FunctionId Edge,
+                std::initializer_list<std::pair<uint32_t, uint32_t>> Pairs) {
   Query Q;
   Q.NumVars = 3;
   Q.VarSorts = {SortTable::I64Sort, SortTable::I64Sort, SortTable::I64Sort};
-  auto Atom = [&](uint32_t A, uint32_t B) {
-    QueryAtom Result;
-    Result.Func = Edge;
-    Result.Terms = {VarOrConst::makeVar(A), VarOrConst::makeVar(B),
-                    VarOrConst::makeConst(G.mkUnit())};
-    return Result;
-  };
-  Q.Atoms = {Atom(0, 1), Atom(1, 2), Atom(2, 0)};
+  for (auto [A, B] : Pairs) {
+    QueryAtom Atom;
+    Atom.Func = Edge;
+    Atom.Terms = {VarOrConst::makeVar(A), VarOrConst::makeVar(B),
+                  VarOrConst::makeConst(G.mkUnit())};
+    Q.Atoms.push_back(std::move(Atom));
+  }
   return Q;
+}
+
+/// Times executeQuery of \p Q, reporting the matches per execution.
+void runQuery(benchmark::State &State, EGraph &G, const Query &Q) {
+  size_t Count = 0;
+  for (auto _ : State) {
+    Count = 0;
+    executeQuery(G, Q, [&](const std::vector<Value> &) { ++Count; });
+    benchmark::DoNotOptimize(Count);
+  }
+  State.counters["matches"] = static_cast<double>(Count);
 }
 
 void BM_GenericJoinTriangle(benchmark::State &State) {
   unsigned Nodes = static_cast<unsigned>(State.range(0));
   EGraph G;
-  FunctionDecl Decl;
-  Decl.Name = "edge";
-  Decl.ArgSorts = {SortTable::I64Sort, SortTable::I64Sort};
-  Decl.OutSort = SortTable::UnitSort;
-  FunctionId Edge = G.declareFunction(std::move(Decl));
+  FunctionId Edge = declareEdge(G);
   populateEdges(G, Edge, Nodes, Nodes * 8, 42);
-  Query Q = triangleQuery(G, Edge);
+  runQuery(State, G, edgeQuery(G, Edge, {{0, 1}, {1, 2}, {2, 0}}));
+}
 
-  for (auto _ : State) {
-    size_t Count = 0;
-    executeQuery(G, Q, [&](const std::vector<Value> &) { ++Count; });
-    benchmark::DoNotOptimize(Count);
-  }
+/// edge(x, y), edge(y, z) over N random edges on N/4 nodes. y joins both
+/// atoms; x is then a one-participant level in the join's group loop, and
+/// z a one-participant last level, which the tail scan enumerates.
+void BM_JoinPath(benchmark::State &State) {
+  unsigned Edges = static_cast<unsigned>(State.range(0));
+  EGraph G;
+  FunctionId Edge = declareEdge(G);
+  populateEdges(G, Edge, Edges / 4, Edges, 42);
+  runQuery(State, G, edgeQuery(G, Edge, {{0, 1}, {1, 2}}));
 }
 
 /// Transitive closure of a long chain: the semi-naïve sweet spot. With
@@ -280,6 +305,7 @@ void BM_RationalNormalize(benchmark::State &State) {
 } // namespace
 
 BENCHMARK(BM_GenericJoinTriangle)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_JoinPath)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_SemiNaiveTC)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK(BM_NaiveTC)->Arg(32)->Arg(64);
 BENCHMARK(BM_SemiNaiveTCGoverned)->Arg(32)->Arg(64)->Arg(128);

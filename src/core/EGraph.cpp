@@ -73,20 +73,15 @@ FunctionId EGraph::declareFunction(FunctionDecl Decl) {
   // table's occurrence index; container columns that (transitively) reach
   // an id sort can hide merged ids from it and force the sweep fallback.
   // Columns of immutable base values need neither.
-  std::vector<unsigned> IdCols;
-  unsigned NumKeys = Info->Decl.ArgSorts.size();
-  for (unsigned I = 0; I <= NumKeys; ++I) {
-    SortId S = I < NumKeys ? Info->Decl.ArgSorts[I] : Info->Decl.OutSort;
-    if (SortsTable.isIdSort(S)) {
-      IdCols.push_back(I);
+  Info->Storage->setIdColumns(
+      Info->Decl.idColumns([&](SortId S) { return SortsTable.kind(S); }));
+  for (SortId S : Info->Decl.columnSorts()) {
+    if (SortsTable.kind(S) != SortKind::Set)
       continue;
-    }
     while (SortsTable.kind(S) == SortKind::Set)
       S = SortsTable.info(S).Element;
-    if (SortsTable.isIdSort(S))
-      Info->NeedsFullSweep = true;
+    Info->NeedsFullSweep |= SortsTable.isIdSort(S);
   }
-  Info->Storage->setIdColumns(std::move(IdCols));
 
   FunctionNames.emplace(Info->Decl.Name, Id);
   Functions.push_back(std::move(Info));

@@ -26,6 +26,7 @@
 #include "support/Interner.h"
 #include "support/Rational.h"
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,6 +64,20 @@ struct FunctionDecl {
     std::vector<SortId> Sorts = ArgSorts;
     Sorts.push_back(OutSort);
     return Sorts;
+  }
+
+  /// The columns (key positions, then the output at NumKeys) that hold
+  /// uninterpreted ids and so feed the table's occurrence index. \p KindOf
+  /// gives a sort's kind; the snapshot loader passes its staged sorts,
+  /// which are not yet declared when it builds tables.
+  std::vector<unsigned>
+  idColumns(const std::function<SortKind(SortId)> &KindOf) const {
+    std::vector<unsigned> Cols;
+    for (unsigned I = 0; I <= ArgSorts.size(); ++I)
+      if (KindOf(I < ArgSorts.size() ? ArgSorts[I] : OutSort) ==
+          SortKind::User)
+        Cols.push_back(I);
+    return Cols;
   }
 };
 

@@ -955,23 +955,8 @@ Value Frontend::literalFor(const SExpr &Node, SortId Expected) {
 bool Frontend::resolvePrim(const SExpr &At, const std::string &Name,
                            const std::vector<SortId> &ArgSorts,
                            uint32_t &PrimId) {
-  if (Graph.primitives().resolve(Name, ArgSorts, PrimId))
+  if (Graph.primitives().resolveOrInstantiate(Name, ArgSorts, PrimId))
     return true;
-  // Lazily instantiate the polymorphic comparisons for any sort.
-  if ((Name == "!=" || Name == "==") && ArgSorts.size() == 2 &&
-      ArgSorts[0] == ArgSorts[1]) {
-    bool Negated = Name == "!=";
-    PrimId = Graph.primitives().add(Primitive{
-        Name,
-        ArgSorts,
-        SortTable::BoolSort,
-        [Negated](EGraph &G, const Value *Args, Value &Out) {
-          bool Equal = G.canonicalize(Args[0]) == G.canonicalize(Args[1]);
-          Out = G.mkBool(Negated ? !Equal : Equal);
-          return true;
-        }});
-    return true;
-  }
   std::string Sorts;
   for (SortId S : ArgSorts)
     Sorts += " " + Graph.sorts().name(S);

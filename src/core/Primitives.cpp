@@ -36,6 +36,25 @@ bool PrimitiveRegistry::resolve(const std::string &Name,
   return false;
 }
 
+bool PrimitiveRegistry::resolveOrInstantiate(const std::string &Name,
+                                             const std::vector<SortId> &Args,
+                                             uint32_t &PrimId) {
+  if (resolve(Name, Args, PrimId))
+    return true;
+  if ((Name != "==" && Name != "!=") || Args.size() != 2 ||
+      Args[0] != Args[1])
+    return false;
+  bool Negated = Name == "!=";
+  PrimId = add(Primitive{Name, Args, SortTable::BoolSort,
+                         [Negated](EGraph &G, const Value *Args, Value &Out) {
+                           bool Equal = G.canonicalize(Args[0]) ==
+                                        G.canonicalize(Args[1]);
+                           Out = G.mkBool(Negated ? !Equal : Equal);
+                           return true;
+                         }});
+  return true;
+}
+
 namespace {
 
 using Fn = std::function<bool(EGraph &, const Value *, Value &)>;

@@ -50,6 +50,15 @@ public:
   bool resolve(const std::string &Name, const std::vector<SortId> &Args,
                uint32_t &PrimId) const;
 
+  /// resolve(), falling back to the polymorphic comparisons: `==` and `!=`
+  /// over two arguments of one sort are instantiated for that sort on
+  /// first use. The frontend's type checker and the snapshot loader both
+  /// resolve through here, so a loaded snapshot re-creates exactly the
+  /// comparisons its program instantiated.
+  bool resolveOrInstantiate(const std::string &Name,
+                            const std::vector<SortId> &Args,
+                            uint32_t &PrimId);
+
   /// Returns true if any overload with this name exists.
   bool knownName(const std::string &Name) const {
     return ByName.count(Name) != 0;

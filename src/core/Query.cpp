@@ -22,10 +22,15 @@ struct AtomCol {
   std::vector<unsigned> Positions;
 };
 
+/// A range [Lo, Hi) of an atom's sorted candidates.
+struct Span {
+  size_t Lo = 0, Hi = 0;
+};
+
 /// Execution state for one atom: a shared cached column index (sorted by
-/// constants first, then the query's global variable order), and the
-/// currently narrowed range within it. The shape (Cols, Consts positions)
-/// is precomputed once per query; only the range and the index pointer
+/// constants first, then the query's global variable order), and its
+/// narrowed ranges within it. The shape (Cols, Consts positions) is
+/// precomputed once per query; only the ranges and the index pointer
 /// change between executions.
 struct AtomExec {
   const QueryAtom *Atom = nullptr;
@@ -45,9 +50,11 @@ struct AtomExec {
   /// Constant term positions in term order (the leading columns of the
   /// index permutation); values are re-canonicalized by every prepare().
   std::vector<std::pair<unsigned, Value>> Consts;
-  size_t Lo = 0, Hi = 0;
-  /// Number of leading columns already bound at the current depth.
-  unsigned Depth = 0;
+  /// Spans[D]: the candidates left once the first D join columns are
+  /// bound; Spans[0] is narrowed to the constants. Only the level that
+  /// binds column D writes Spans[D + 1], from Spans[D], so backtracking
+  /// has nothing to restore.
+  std::vector<Span> Spans;
 };
 
 /// Backtracking trail entry: a variable binding or a primitive execution to
@@ -159,6 +166,7 @@ struct egglog::QueryExecutor::Impl {
           Exec.Cols.push_back(AtomCol{Term.Var, {I}});
         }
       }
+      Exec.Spans.resize(Exec.Cols.size() + 1);
       Atoms.push_back(std::move(Exec));
     }
   }
@@ -226,18 +234,18 @@ private:
   std::vector<unsigned> VarPosition;
   std::vector<unsigned> Perm;
   std::vector<Value> PrimArgs;
-  struct SavedRange {
-    size_t Lo, Hi;
+  /// An atom holding a level's variable, at join column Depth, with its
+  /// sweep cursor for the batched probes: a monotone lower bound on where
+  /// the next (ascending) candidate can start.
+  struct Participant {
+    uint32_t Atom;
     unsigned Depth;
+    size_t Cursor;
   };
-  struct LevelScratch {
-    std::vector<size_t> Participants;
-    std::vector<SavedRange> Saved;
-    /// Per-participant sweep cursor for the batched probes: a monotone
-    /// lower bound on where the next (ascending) candidate can start.
-    std::vector<size_t> Cursors;
-  };
-  std::vector<LevelScratch> Levels;
+  /// Each level's participants in atom order, planned by prepare(): the
+  /// atoms' columns follow the variable order, so which atoms hold a
+  /// level's variable, and at which column, is fixed per execution.
+  std::vector<std::vector<Participant>> Levels;
 
   void run() {
     Env.assign(Q.NumVars, Value());
@@ -245,7 +253,6 @@ private:
     PrimDone.assign(Q.Prims.size(), false);
     PendingPrims = Q.Prims.size();
     Trail.clear();
-    Levels.resize(VarOrder.size());
     // Bind nothing yet, but primitives with no variable inputs can run
     // immediately (e.g. constant filters).
     if (!runReadyPrims())
@@ -314,13 +321,19 @@ private:
       for (unsigned P = 0; P < Exec.ColBase.size(); ++P)
         Exec.ColBase[P] = T.column(P);
       Exec.PreparedVersion = T.version();
-      Exec.Lo = 0;
-      Exec.Hi = Index.size();
-      Exec.Depth = 0;
+      Exec.Spans[0] = Span{0, Index.size()};
       for (const auto &[Pos, Const] : Exec.Consts)
-        if (!narrowOn(Exec, Pos, Const))
+        if (!narrowOn(Exec, Exec.Spans[0], Pos, Const))
           return false;
     }
+
+    Levels.resize(VarOrder.size());
+    for (std::vector<Participant> &Level : Levels)
+      Level.clear();
+    for (uint32_t A = 0; A < Atoms.size(); ++A)
+      for (unsigned D = 0; D < Atoms[A].Cols.size(); ++D)
+        Levels[VarPosition[Atoms[A].Cols[D].Var]].push_back(
+            Participant{A, D, 0});
     return true;
   }
 
@@ -425,31 +438,31 @@ private:
     return true;
   }
 
-  /// Narrows atom \p Exec to the rows whose term at \p Pos equals \p V,
-  /// assuming the current range is sorted by that position (it is the next
-  /// column of the index permutation); returns false if empty. Saves
-  /// nothing; caller snapshots ranges.
-  bool narrowOn(AtomExec &Exec, unsigned Pos, Value V) {
+  /// Narrows \p S, a range of atom \p Exec, to the rows whose term at
+  /// \p Pos equals \p V, assuming the range is sorted by that position (it
+  /// is the next column of the index permutation); returns false if empty.
+  bool narrowOn(const AtomExec &Exec, Span &S, unsigned Pos, Value V) {
     assert(V.Sort ==
                Graph.function(Exec.Atom->Func).Storage->columnSort(Pos) &&
            "narrowing a column on a value of another sort");
     const uint32_t *Ids = Exec.Rows->data();
     const uint64_t *Col = Exec.ColBase[Pos];
-    size_t Lo = lowerBoundIds(Ids, Col, Exec.Lo, Exec.Hi, V.Bits);
-    if (Lo == Exec.Hi || Col[Ids[Lo]] != V.Bits)
+    size_t Lo = lowerBoundIds(Ids, Col, S.Lo, S.Hi, V.Bits);
+    if (Lo == S.Hi || Col[Ids[Lo]] != V.Bits)
       return false;
-    Exec.Lo = Lo;
-    Exec.Hi = upperBoundIds(Ids, Col, Lo + 1, Exec.Hi, V.Bits);
+    S = Span{Lo, upperBoundIds(Ids, Col, Lo + 1, S.Hi, V.Bits)};
     return true;
   }
 
-  /// Narrows atom \p Exec (whose next column must be bound to \p V) to the
-  /// rows where every occurrence of that column's variable equals \p V.
-  bool narrowTo(AtomExec &Exec, Value V) {
-    for (unsigned Pos : Exec.Cols[Exec.Depth].Positions)
-      if (!narrowOn(Exec, Pos, V))
+  /// Narrows atom \p Exec's join column \p D to \p V: Spans[D + 1]
+  /// becomes the rows of Spans[D] where every occurrence of the column's
+  /// variable equals \p V.
+  bool narrowTo(AtomExec &Exec, unsigned D, Value V) {
+    Span &S = Exec.Spans[D + 1];
+    S = Exec.Spans[D];
+    for (unsigned Pos : Exec.Cols[D].Positions)
+      if (!narrowOn(Exec, S, Pos, V))
         return false;
-    ++Exec.Depth;
     return true;
   }
 
@@ -457,31 +470,31 @@ private:
   /// probes with an ascending run of candidate values, so \p Cursor — the
   /// previous probe's landing point — is a valid lower bound for this one:
   /// the equal range is found by galloping forward from it rather than
-  /// bisecting the whole saved range (the "sort probe keys once, sweep the
+  /// bisecting the whole range (the "sort probe keys once, sweep the
   /// sorted run" half of the batched-probe scheme; the probe keys arrive
   /// pre-sorted because the driver's groups are themselves a sorted run).
-  bool narrowToSwept(AtomExec &Exec, Value V, size_t &Cursor) {
-    const AtomCol &Col = Exec.Cols[Exec.Depth];
+  bool narrowToSwept(AtomExec &Exec, unsigned D, Value V, size_t &Cursor) {
+    const AtomCol &Col = Exec.Cols[D];
     assert(V.Sort == Graph.function(Exec.Atom->Func)
                          .Storage->columnSort(Col.Positions[0]) &&
            "narrowing a column on a value of another sort");
     const uint32_t *Ids = Exec.Rows->data();
     const uint64_t *C = Exec.ColBase[Col.Positions[0]];
-    size_t Lo = gallopLowerBoundIds(Ids, C, std::max(Exec.Lo, Cursor),
-                                    Exec.Hi, V.Bits);
+    const Span &In = Exec.Spans[D];
+    size_t Lo =
+        gallopLowerBoundIds(Ids, C, std::max(In.Lo, Cursor), In.Hi, V.Bits);
     Cursor = Lo;
-    if (Lo == Exec.Hi || C[Ids[Lo]] != V.Bits)
+    if (Lo == In.Hi || C[Ids[Lo]] != V.Bits)
       return false;
-    size_t RunEnd = gallopUpperBoundIds(Ids, C, Lo + 1, Exec.Hi, V.Bits);
+    size_t RunEnd = gallopUpperBoundIds(Ids, C, Lo + 1, In.Hi, V.Bits);
     // The next candidate is strictly greater, so its run starts at or
     // after this run's end.
     Cursor = RunEnd;
-    Exec.Lo = Lo;
-    Exec.Hi = RunEnd;
+    Span &Out = Exec.Spans[D + 1];
+    Out = Span{Lo, RunEnd};
     for (size_t P = 1; P < Col.Positions.size(); ++P)
-      if (!narrowOn(Exec, Col.Positions[P], V))
+      if (!narrowOn(Exec, Out, Col.Positions[P], V))
         return false;
-    ++Exec.Depth;
     return true;
   }
 
@@ -522,177 +535,99 @@ private:
       return;
     }
     uint32_t Var = VarOrder[Level];
-
-    // Participants: atoms whose next unbound column is Var. The scratch is
-    // per level, so the recursion into Level + 1 cannot clobber it.
-    std::vector<size_t> &Participants = Levels[Level].Participants;
-    Participants.clear();
-    for (size_t I = 0; I < Atoms.size(); ++I) {
-      AtomExec &Exec = Atoms[I];
-      if (Exec.Depth < Exec.Cols.size() && Exec.Cols[Exec.Depth].Var == Var)
-        Participants.push_back(I);
-    }
-
-    // Snapshot the participant ranges for backtracking.
-    std::vector<SavedRange> &SavedRanges = Levels[Level].Saved;
-    SavedRanges.resize(Participants.size());
-    auto Snapshot = [&]() {
-      for (size_t I = 0; I < Participants.size(); ++I) {
-        AtomExec &Exec = Atoms[Participants[I]];
-        SavedRanges[I] = SavedRange{Exec.Lo, Exec.Hi, Exec.Depth};
-      }
-    };
-    auto Restore = [&]() {
-      for (size_t I = 0; I < Participants.size(); ++I) {
-        AtomExec &Exec = Atoms[Participants[I]];
-        Exec.Lo = SavedRanges[I].Lo;
-        Exec.Hi = SavedRanges[I].Hi;
-        Exec.Depth = SavedRanges[I].Depth;
-      }
-    };
-
-    if (BoundFlags[Var]) {
-      // The variable was computed by a primitive: check, don't enumerate.
-      Snapshot();
-      bool Alive = true;
-      for (size_t Index : Participants)
-        if (!narrowTo(Atoms[Index], Env[Var])) {
-          Alive = false;
-          break;
-        }
-      if (Alive)
-        joinLevel(Level + 1);
-      Restore();
-      return;
-    }
-
+    // The scratch is per level, so the recursion into Level + 1 cannot
+    // clobber it.
+    std::vector<Participant> &Participants = Levels[Level];
     assert(!Participants.empty() &&
            "join variable not constrained by any atom");
 
-    // Free-join-style binary fast path: with a single participant there is
-    // nothing to intersect — enumerate its groups directly, skipping the
-    // snapshot/restore bookkeeping.
-    if (Participants.size() == 1) {
-      binaryJoinLevel(Level, Var, Atoms[Participants[0]]);
+    if (BoundFlags[Var]) {
+      // The variable was computed by a primitive: check, don't enumerate.
+      for (const Participant &P : Participants)
+        if (!narrowTo(Atoms[P.Atom], P.Depth, Env[Var]))
+          return;
+      joinLevel(Level + 1);
       return;
     }
-
-    // Driver: the participant with the smallest current range.
-    size_t Driver = Participants[0];
-    for (size_t Index : Participants)
-      if (Atoms[Index].Hi - Atoms[Index].Lo <
-          Atoms[Driver].Hi - Atoms[Driver].Lo)
-        Driver = Index;
-    AtomExec &DriverExec = Atoms[Driver];
-    const uint32_t *DriverIds = DriverExec.Rows->data();
-    const uint64_t *DriverCol =
-        DriverExec.ColBase[DriverExec.Cols[DriverExec.Depth].Positions[0]];
-
-    // Batched probes: every non-driver participant keeps a sweep cursor.
-    // The driver's candidates ascend across the group loop, so each
-    // participant's equal range only moves forward — narrowToSwept gallops
-    // from the cursor instead of bisecting the whole saved range.
-    std::vector<size_t> &Cursors = Levels[Level].Cursors;
-    Cursors.resize(Participants.size());
-    for (size_t I = 0; I < Participants.size(); ++I)
-      Cursors[I] = Atoms[Participants[I]].Lo;
-
-    size_t GroupStart = DriverExec.Lo;
-    size_t DriverHi = DriverExec.Hi;
-    SortId VarSort = Q.VarSorts[Var];
-    while (GroupStart < DriverHi) {
-      uint64_t Bits = DriverCol[DriverIds[GroupStart]];
-      size_t GroupEnd = GroupStart + 1;
-      while (GroupEnd < DriverHi && DriverCol[DriverIds[GroupEnd]] == Bits)
-        ++GroupEnd;
-      Value Candidate(VarSort, Bits);
-
-      Snapshot();
-      size_t Mark = trailMark();
-      bool Alive = true;
-      for (size_t I = 0; I < Participants.size(); ++I) {
-        size_t Index = Participants[I];
-        if (Index == Driver) {
-          // The group already fixes the first occurrence; narrow any
-          // repeated occurrences of the variable to the same value.
-          AtomExec &Exec = Atoms[Index];
-          Exec.Lo = GroupStart;
-          Exec.Hi = GroupEnd;
-          const AtomCol &Col = Exec.Cols[Exec.Depth];
-          for (size_t P = 1; Alive && P < Col.Positions.size(); ++P)
-            Alive = narrowOn(Exec, Col.Positions[P], Candidate);
-          if (!Alive)
-            break;
-          ++Exec.Depth;
-          continue;
-        }
-        if (!narrowToSwept(Atoms[Index], Candidate, Cursors[I])) {
-          Alive = false;
-          break;
-        }
-      }
-      if (Alive && bindVar(Var, Candidate) && runReadyPrims())
-        joinLevel(Level + 1);
-      trailUndo(Mark);
-      Restore();
-
-      GroupStart = GroupEnd;
-    }
-  }
-
-  /// Single-participant join level: the candidate groups come from one
-  /// atom, so there is no intersection to compute — a binary-join scan
-  /// over its sorted run. At the last level, with a single occurrence and
-  /// no pending primitives, it degenerates into a pure vectorized column
-  /// scan emitting one match per group.
-  void binaryJoinLevel(size_t Level, uint32_t Var, AtomExec &Exec) {
-    const AtomCol &Col = Exec.Cols[Exec.Depth];
-    const uint32_t *Ids = Exec.Rows->data();
-    const uint64_t *C = Exec.ColBase[Col.Positions[0]];
-    size_t SavedLo = Exec.Lo, SavedHi = Exec.Hi;
-    unsigned SavedDepth = Exec.Depth;
     SortId VarSort = Q.VarSorts[Var];
 
-    if (Level + 1 == VarOrder.size() && Col.Positions.size() == 1 &&
-        PendingPrims == 0) {
+    // Tail scan: at the last level, a lone participant holding Var once,
+    // with no primitive pending, yields one match per group of its sorted
+    // run; nothing is probed, bound or recursed into.
+    const AtomExec &Lone = Atoms[Participants[0].Atom];
+    const AtomCol &LoneCol = Lone.Cols[Participants[0].Depth];
+    if (Participants.size() == 1 && Level + 1 == VarOrder.size() &&
+        PendingPrims == 0 && LoneCol.Positions.size() == 1) {
+      const uint32_t *Ids = Lone.Rows->data();
+      const uint64_t *C = Lone.ColBase[LoneCol.Positions[0]];
+      Span S = Lone.Spans[Participants[0].Depth];
       Env[Var].Sort = VarSort;
-      for (size_t GroupStart = SavedLo; GroupStart < SavedHi;) {
+      for (size_t GroupStart = S.Lo; GroupStart < S.Hi;) {
         if (checkCancel())
           return;
         uint64_t Bits = C[Ids[GroupStart]];
         do
           ++GroupStart;
-        while (GroupStart < SavedHi && C[Ids[GroupStart]] == Bits);
+        while (GroupStart < S.Hi && C[Ids[GroupStart]] == Bits);
         Env[Var].Bits = Bits;
         appendMatch();
       }
       return;
     }
 
-    for (size_t GroupStart = SavedLo; GroupStart < SavedHi;) {
-      uint64_t Bits = C[Ids[GroupStart]];
+    // The driver, the participant with the smallest range (the first
+    // among equals), enumerates the candidate groups in ascending order.
+    // Every other participant narrows to each candidate by a batched
+    // probe: its equal range only moves forward, so narrowToSwept gallops
+    // from the participant's cursor instead of bisecting its whole range.
+    // A level with one participant is a binary-join step (Free Join):
+    // that atom drives, and there is nothing to probe.
+    size_t DriverSlot = 0;
+    size_t DriverSize = SIZE_MAX;
+    for (size_t I = 0; I < Participants.size(); ++I) {
+      Participant &P = Participants[I];
+      const Span &S = Atoms[P.Atom].Spans[P.Depth];
+      P.Cursor = S.Lo;
+      if (S.Hi - S.Lo < DriverSize) {
+        DriverSlot = I;
+        DriverSize = S.Hi - S.Lo;
+      }
+    }
+    const AtomExec &DriverExec = Atoms[Participants[DriverSlot].Atom];
+    unsigned DriverDepth = Participants[DriverSlot].Depth;
+    const uint32_t *DriverIds = DriverExec.Rows->data();
+    const uint64_t *DriverCol =
+        DriverExec.ColBase[DriverExec.Cols[DriverDepth].Positions[0]];
+    Span In = DriverExec.Spans[DriverDepth];
+    for (size_t GroupStart = In.Lo; GroupStart < In.Hi;) {
+      uint64_t Bits = DriverCol[DriverIds[GroupStart]];
       size_t GroupEnd = GroupStart + 1;
-      while (GroupEnd < SavedHi && C[Ids[GroupEnd]] == Bits)
+      while (GroupEnd < In.Hi && DriverCol[DriverIds[GroupEnd]] == Bits)
         ++GroupEnd;
       Value Candidate(VarSort, Bits);
-      Exec.Lo = GroupStart;
-      Exec.Hi = GroupEnd;
-      Exec.Depth = SavedDepth;
+
+      size_t Mark = trailMark();
       bool Alive = true;
-      for (size_t P = 1; Alive && P < Col.Positions.size(); ++P)
-        Alive = narrowOn(Exec, Col.Positions[P], Candidate);
-      if (Alive) {
-        ++Exec.Depth;
-        size_t Mark = trailMark();
-        if (bindVar(Var, Candidate) && runReadyPrims())
-          joinLevel(Level + 1);
-        trailUndo(Mark);
+      for (size_t I = 0; Alive && I < Participants.size(); ++I) {
+        Participant &P = Participants[I];
+        AtomExec &Exec = Atoms[P.Atom];
+        if (I != DriverSlot) {
+          Alive = narrowToSwept(Exec, P.Depth, Candidate, P.Cursor);
+          continue;
+        }
+        // The group already fixes the first occurrence; narrow any
+        // repeated occurrences of the variable to the same value.
+        Span &Out = Exec.Spans[P.Depth + 1];
+        Out = Span{GroupStart, GroupEnd};
+        const AtomCol &Col = Exec.Cols[P.Depth];
+        for (size_t Pos = 1; Alive && Pos < Col.Positions.size(); ++Pos)
+          Alive = narrowOn(Exec, Out, Col.Positions[Pos], Candidate);
       }
+      if (Alive && bindVar(Var, Candidate) && runReadyPrims())
+        joinLevel(Level + 1);
+      trailUndo(Mark);
       GroupStart = GroupEnd;
     }
-    Exec.Lo = SavedLo;
-    Exec.Hi = SavedHi;
-    Exec.Depth = SavedDepth;
   }
 };
 

@@ -1063,15 +1063,8 @@ bool parseTables(Staging &St, SpanReader &R, EggError &Err) {
     const FunctionDecl &Decl = St.Functions[F].Decl;
     unsigned NumKeys = static_cast<unsigned>(Decl.ArgSorts.size());
     auto Staged = std::make_unique<Table>(Decl.columnSorts(), F);
-    // Column classification mirrors EGraph::declareFunction so occurrence
-    // indexing over the staged table matches a natively-built one.
-    std::vector<unsigned> IdCols;
-    for (unsigned I = 0; I <= NumKeys; ++I) {
-      SortId S = I < NumKeys ? Decl.ArgSorts[I] : Decl.OutSort;
-      if (snapKind(St, S) == SortKind::User)
-        IdCols.push_back(I);
-    }
-    Staged->setIdColumns(std::move(IdCols));
+    Staged->setIdColumns(
+        Decl.idColumns([&](SortId S) { return snapKind(St, S); }));
     uint64_t Rows;
     if (!R.readU64(Rows))
       return sectionFail(Err, SecTables, "truncated payload");
@@ -1202,34 +1195,17 @@ bool installStaging(EGraph &G, Staging &St, EggError &Err) {
   // 2. Re-resolve every referenced primitive by signature. Primitive ids
   // are declaration-history-dependent, so the snapshot's indices are
   // meaningless here; names and sorts are the stable identity. The
-  // polymorphic comparisons are lazily instantiated per sort (mirroring
-  // the frontend's resolvePrim), so re-instantiate on a miss.
+  // polymorphic comparisons are instantiated per sort on first use, so
+  // resolution re-instantiates them on a miss.
   std::unordered_map<uint32_t, uint32_t> PrimMap;
   for (uint32_t Old : St.ReferencedPrims) {
     const SnapPrim &P = St.Prims[Old];
     uint32_t Live;
-    if (G.primitives().resolve(P.Name, P.ArgSorts, Live)) {
-      PrimMap.emplace(Old, Live);
-      continue;
-    }
-    if ((P.Name == "==" || P.Name == "!=") && P.ArgSorts.size() == 2 &&
-        P.ArgSorts[0] == P.ArgSorts[1] &&
-        P.OutSort == SortTable::BoolSort) {
-      bool Negated = P.Name == "!=";
-      Live = G.primitives().add(Primitive{
-          P.Name,
-          P.ArgSorts,
-          SortTable::BoolSort,
-          [Negated](EGraph &EG, const Value *Args, Value &Out) {
-            bool Equal = EG.canonicalize(Args[0]) == EG.canonicalize(Args[1]);
-            Out = EG.mkBool(Negated ? !Equal : Equal);
-            return true;
-          }});
-      PrimMap.emplace(Old, Live);
-      continue;
-    }
-    return ioFail(Err, "snapshot references unknown primitive '" + P.Name +
-                           "'");
+    if (!G.primitives().resolveOrInstantiate(P.Name, P.ArgSorts, Live) ||
+        G.primitives().get(Live).OutSort != P.OutSort)
+      return ioFail(Err, "snapshot references unknown primitive '" +
+                             P.Name + "'");
+    PrimMap.emplace(Old, Live);
   }
 
   // 3. Realize the provisional interner ids, in assignment order. The

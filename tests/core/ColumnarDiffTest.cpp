@@ -5,10 +5,11 @@
 // insert/union/run/extract/push/pop scripts against engines at 1 and 4
 // match threads and asserts liveContentHash parity after every run. The
 // program leans on wide tables (a ternary relation and three-atom joins)
-// so the vectorized column scans, batched sweep probes, and the
-// binary-join fast path all sit on the hot path; any divergence between
-// the columnar layout and the engine's append/kill/rollback contract
-// shows up as a content-hash split between the two thread counts.
+// so the column scans, the join's one group loop (batched sweep probes at
+// multi-participant levels) and its last-level tail scan all sit on the
+// hot path; any divergence between the columnar layout and the engine's
+// append/kill/rollback contract shows up as a content-hash split between
+// the two thread counts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +25,10 @@ using namespace egglog;
 namespace {
 
 /// Joins with one, two, and three atoms over binary and ternary
-/// relations: single-participant levels take the binary-join fast path,
-/// multi-participant levels take the batched sweep probes, and the term
-/// rewrite keeps rebuild (kill + re-append on columnar rows) busy.
+/// relations: every level runs the join's group loop (with batched sweep
+/// probes where several atoms take part), a lone last-level atom takes
+/// the tail scan, and the term rewrite keeps rebuild (kill + re-append on
+/// columnar rows) busy.
 const char *ColumnarProgram = R"(
   (datatype E (Leaf i64) (Join E E))
   (relation edge (i64 i64))

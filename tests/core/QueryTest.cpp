@@ -3,7 +3,8 @@
 // Part of egglog-cpp. Tests the relational query engine: generic join
 // results, semi-naïve delta splits, primitive filters, and agreement
 // between the worst-case-optimal join and the reference oracle's naive
-// nested-loop join (tests/oracle/Reference.h).
+// nested-loop join (tests/oracle/Reference.h), on triangles and on plans
+// whose one-participant levels precede the last level.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,8 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 using namespace egglog;
 
@@ -322,6 +325,106 @@ TEST_P(JoinAgreementTest, TriangleQueryAgreesWithNaiveJoin) {
   });
   EXPECT_FALSE(Generic.empty());
   EXPECT_EQ(Generic, oracle::ReferenceJoin(G, Q).run());
+}
+
+/// Plans with one-participant levels before the last level, which run
+/// through the join's group loop (only a last level takes the tail scan):
+/// a two-atom path (x, then z alone), a repeated variable (x twice in one
+/// atom, then y), and a primitive-bound variable (z = y + 1) that feeds a
+/// later atom. Through executeQuery, and through the engine at 1 and at 4
+/// match threads, each plan yields the oracle's match multiset.
+TEST_P(JoinAgreementTest, SingleParticipantLevelsAgreeWithNaiveJoin) {
+  struct Plan {
+    std::string Body;
+    std::string Out;
+    std::vector<std::string> Vars;
+  };
+  const std::vector<Plan> Plans = {
+      {"(edge x y) (edge y z)", "path", {"x", "y", "z"}},
+      {"(hop x x y)", "loop", {"x", "y"}},
+      {"(edge x y) (= z (+ y 1)) (edge z w)", "step", {"x", "y", "z", "w"}},
+  };
+  std::string Program = R"(
+    (relation edge (i64 i64))
+    (relation hop (i64 i64 i64))
+    (relation path (i64 i64 i64))
+    (relation loop (i64 i64))
+    (relation step (i64 i64 i64 i64))
+  )";
+  for (const Plan &P : Plans) {
+    Program += "(rule (" + P.Body + ") ((" + P.Out;
+    for (const std::string &V : P.Vars)
+      Program += " " + V;
+    Program += ")))\n";
+  }
+  std::mt19937 Rng(GetParam());
+  std::uniform_int_distribution<int> Node(0, 11);
+  for (int I = 0; I < 40; ++I) {
+    std::string A = std::to_string(Node(Rng)), B = std::to_string(Node(Rng)),
+                C = std::to_string(Node(Rng));
+    Program += "(edge " + A + " " + B + ")\n";
+    // Every other hop row repeats its first column.
+    Program += "(hop " + A + " " + (I % 2 ? A : B) + " " + C + ")\n";
+  }
+
+  for (unsigned Threads : {1u, 4u}) {
+    Frontend F;
+    F.engine().setThreads(Threads);
+    ASSERT_TRUE(F.execute(Program)) << F.error();
+    EGraph &G = F.graph();
+    size_t ExpectedMatches = 0;
+    std::vector<std::set<oracle::MatchBits>> ExpectedRows;
+    for (size_t R = 0; R < Plans.size(); ++R) {
+      const Rule &TheRule = F.engine().rule(R);
+      oracle::MatchMultiset Reference =
+          oracle::ReferenceJoin(G, TheRule.Body).run();
+      oracle::MatchMultiset Generic;
+      executeQuery(G, TheRule.Body, [&](const std::vector<Value> &Env) {
+        oracle::MatchBits M;
+        for (const Value &V : Env)
+          M.push_back(V.Bits);
+        ++Generic[M];
+      });
+      EXPECT_FALSE(Reference.empty()) << Plans[R].Body;
+      EXPECT_EQ(Generic, Reference) << Plans[R].Body;
+
+      // The rule writes each match's named variables to its output.
+      std::vector<size_t> Slots;
+      for (const std::string &Name : Plans[R].Vars) {
+        auto It = std::find(TheRule.VarNames.begin(), TheRule.VarNames.end(),
+                            Name);
+        ASSERT_NE(It, TheRule.VarNames.end()) << Name;
+        Slots.push_back(It - TheRule.VarNames.begin());
+      }
+      std::set<oracle::MatchBits> Rows;
+      for (const auto &[Match, Count] : Reference) {
+        oracle::MatchBits Row;
+        for (size_t Slot : Slots)
+          Row.push_back(Match[Slot]);
+        Rows.insert(Row);
+        ExpectedMatches += Count;
+      }
+      ExpectedRows.push_back(std::move(Rows));
+    }
+
+    ASSERT_TRUE(F.execute("(run 1)")) << F.error();
+    EXPECT_EQ(F.lastRun().totalMatches(), ExpectedMatches)
+        << Threads << " threads";
+    for (size_t R = 0; R < Plans.size(); ++R) {
+      FunctionId Out;
+      ASSERT_TRUE(G.lookupFunctionName(Plans[R].Out, Out));
+      const Table &T = *G.function(Out).Storage;
+      std::set<oracle::MatchBits> Rows;
+      for (size_t Row : T.liveRows()) {
+        oracle::MatchBits Bits;
+        for (unsigned I = 0; I < Plans[R].Vars.size(); ++I)
+          Bits.push_back(T.cell(Row, I).Bits);
+        Rows.insert(Bits);
+      }
+      EXPECT_EQ(Rows, ExpectedRows[R])
+          << Plans[R].Body << " at " << Threads << " threads";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinAgreementTest,

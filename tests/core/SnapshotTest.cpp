@@ -14,6 +14,8 @@
 //    at any write step must leave the previous on-disk snapshot intact,
 //  - structural rejections: version skew, declaration mismatch and
 //    decreasing row stamps,
+//  - re-instantiation of the polymorphic comparisons a snapshot's merge
+//    expressions reference,
 //  - a warm start of a saturated Fig. 8 points-to database that must
 //    reproduce the cold fixpoint exactly.
 //
@@ -296,6 +298,45 @@ TEST(SnapshotTest, FiveSeedDifferentialContinuesAfterReload) {
     }
     EXPECT_EQ(probeExtract(C, "root"), probeExtract(A, "root"));
   }
+  std::remove(Path.c_str());
+}
+
+TEST(SnapshotTest, LoadReinstantiatesPolymorphicComparisons) {
+  // `==` and `!=` over bool have no builtin overload: the merge
+  // expressions instantiate them. A fresh database has neither, so the
+  // load must instantiate them again to resolve the snapshot's merges.
+  const std::string Path = tmpPath("snap_comparisons.snap");
+  const char *Program = R"(
+    (function same () bool :merge (== old new))
+    (function differ () bool :merge (!= old new))
+    (set (same) true)
+    (set (differ) true)
+  )";
+  Frontend A;
+  ASSERT_TRUE(A.execute(Program)) << A.error();
+  ASSERT_TRUE(A.execute("(save \"" + Path + "\")")) << A.error();
+
+  const std::vector<SortId> BoolPair = {SortTable::BoolSort,
+                                        SortTable::BoolSort};
+  Frontend B;
+  uint32_t Id;
+  for (const char *Name : {"==", "!="})
+    EXPECT_FALSE(B.graph().primitives().resolve(Name, BoolPair, Id)) << Name;
+  ASSERT_TRUE(B.execute("(load \"" + Path + "\")")) << B.error();
+  for (const char *Name : {"==", "!="})
+    EXPECT_TRUE(B.graph().primitives().resolve(Name, BoolPair, Id)) << Name;
+  EXPECT_EQ(fingerprint(B), fingerprint(A));
+
+  // The re-instantiated merges compute what the originals do.
+  const char *Suffix = R"(
+    (set (same) false)
+    (set (differ) false)
+    (check (= (same) false))
+    (check (= (differ) true))
+  )";
+  ASSERT_TRUE(A.execute(Suffix)) << A.error();
+  ASSERT_TRUE(B.execute(Suffix)) << B.error();
+  EXPECT_EQ(fingerprint(B), fingerprint(A));
   std::remove(Path.c_str());
 }
 

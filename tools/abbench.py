@@ -19,7 +19,11 @@ For every end-to-end metric in the parent's BENCHMARK.json it prints each
 side's median and quartiles, the change/parent ratio of the medians, the
 change's wins out of the pairs (a pair is a win when the change's run is
 strictly better), and FLAG when the change's median is worse than the
-parent's by more than the metric's bound. Two more columns read the
+parent's by more than the metric's bound. When the median stays within
+the bound but the ratio's 95% interval (below) reaches past it, the
+metric reads UNRESOLVED: these pairs cannot tell whether the change is
+worse beyond the bound, so more or longer pairs are needed before
+concluding either way. Two more columns read the
 ratio's uncertainty: a bootstrap 95% interval for the median ratio
 (resampling whole pairs, with a fixed seed, so a rerun over the same runs
 prints the same interval), and the median over pairs of the pair's
@@ -34,7 +38,8 @@ host-adjusted ratio) on fixed synthetic pairs and builds or runs nothing.
 
 Every run's result is appended to DIR/runs.jsonl. The exit status is 0
 when every run was correct with no failed operation
-and no metric is flagged, 1 otherwise.
+and no metric is flagged, 1 otherwise; an UNRESOLVED metric alone does
+not change it.
 """
 
 import argparse
@@ -163,6 +168,20 @@ def summarize(parent, change, lower, parent_refs=None, change_refs=None):
     return summary
 
 
+def verdict(summary, lower, bound):
+    """FLAG when the median ratio is worse than 1 +/- bound, UNRESOLVED
+    when only the ratio's interval reaches past it, else ""."""
+    if lower:
+        limit = 1 + bound
+        if summary["ratio"] > limit:
+            return "FLAG"
+        return "UNRESOLVED" if summary["interval"][1] > limit else ""
+    limit = 1 - bound
+    if summary["ratio"] < limit:
+        return "FLAG"
+    return "UNRESOLVED" if summary["interval"][0] < limit else ""
+
+
 def compare(workload, runs, spec):
     """Prints the comparison table; returns the number of flagged
     metrics."""
@@ -186,16 +205,15 @@ def compare(workload, runs, spec):
         summary = summarize(values["parent"], values["change"], lower,
                             refs["parent"] if timed else None,
                             refs["change"] if timed else None)
-        ratio = summary["ratio"]
-        worse = ratio > 1 + bound if lower else ratio < 1 - bound
-        flagged += worse
+        mark = verdict(summary, lower, bound)
+        flagged += mark == "FLAG"
         adjusted = summary["host_adjusted"]
         print("%-12s %-33s %-33s %7.3f %-15s %8s %3d/%-2d  %.2f%s" %
               (name, "%.4g / %.4g / %.4g" % summary["parent"],
-               "%.4g / %.4g / %.4g" % summary["change"], ratio,
+               "%.4g / %.4g / %.4g" % summary["change"], summary["ratio"],
                "[%.3f, %.3f]" % summary["interval"],
                "-" if adjusted is None else "%.3f" % adjusted,
-               summary["wins"], pairs, bound, "  FLAG" if worse else ""))
+               summary["wins"], pairs, bound, "  " + mark if mark else ""))
     for side in SIDES:
         known = [r for r in refs[side] if r is not None]
         if known:
@@ -252,6 +270,25 @@ def selftest():
           summarize(parent, change, True)["interval"] == (low, high))
     check("zero parent", ratio_of(0, 0) == 1.0
           and ratio_of(0, 1) == float("inf"))
+
+    # Verdicts against a 0.24 bound. The noisy pairs' median is inside it;
+    # so is their interval, but the same pairs at a 0.05 bound reach past
+    # it. A median past the bound flags whatever the interval says.
+    check("noisy pairs resolve at 0.24", verdict(noisy, True, 0.24) == "")
+    check("noisy pairs unresolved at 0.05",
+          low < 0.95 and high > 1.05 and
+          verdict(noisy, True, 0.05) == "UNRESOLVED")
+    check("scaled pairs flag when higher is better",
+          verdict(scaled, False, 0.05) == "FLAG")
+    straddle = {"ratio": 1.1, "interval": (0.95, 1.3)}
+    check("straddling interval, lower is better",
+          verdict(straddle, True, 0.24) == "UNRESOLVED")
+    check("median past the bound flags",
+          verdict({"ratio": 1.3, "interval": (1.25, 1.35)}, True, 0.24)
+          == "FLAG")
+    check("straddling interval, higher is better",
+          verdict({"ratio": 0.9, "interval": (0.7, 1.05)}, False, 0.24)
+          == "UNRESOLVED")
 
     for what in failures:
         print("abbench selftest: FAILED %s" % what)
