@@ -13,13 +13,16 @@
 //   * the core data structures (table insert and lookup, the table's
 //     update-kill-append path that rebuild drives, union-find),
 //   * the exact arithmetic under the Herbie interval analyses (BigInt
-//     division, Rational normalization).
+//     division, Rational normalization),
+//   * Herbie's candidate scoring: one compiled candidate evaluated
+//     column-at-a-time over N samples and scored in bits of error.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Engine.h"
 #include "core/Frontend.h"
 #include "core/Query.h"
+#include "herbie/ErrorModel.h"
 #include "support/Rational.h"
 
 #include <benchmark/benchmark.h>
@@ -302,6 +305,26 @@ void BM_RationalNormalize(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 
+/// Scores one fixed candidate, the rationalized sqrt(x+1) - sqrt(x), over
+/// N samples of the naive form (as Herbie's candidate loop does):
+/// compilation, the column-at-a-time binary64 kernel and the bits-of-error
+/// sum. samples is the number of valid points scored.
+void BM_HerbieAverageError(benchmark::State &State) {
+  unsigned N = static_cast<unsigned>(State.range(0));
+  herbie::ExprPtr Naive = herbie::parseFPExpr("(- (sqrt (+ x 1)) (sqrt x))");
+  herbie::ExprPtr Candidate =
+      herbie::parseFPExpr("(/ 1 (+ (sqrt (+ x 1)) (sqrt x)))");
+  herbie::SampleSet Samples = herbie::samplePoints(
+      *Naive, {herbie::VarRange{"x", 1e10, 1e14}}, N, 42);
+  for (auto _ : State) {
+    double Error = herbie::averageError(*Candidate, Samples);
+    benchmark::DoNotOptimize(Error);
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Samples.Points.size()));
+  State.counters["samples"] = static_cast<double>(Samples.Points.size());
+}
+
 } // namespace
 
 BENCHMARK(BM_GenericJoinTriangle)->Arg(64)->Arg(256)->Arg(1024);
@@ -316,6 +339,7 @@ BENCHMARK(BM_TableUpdateKill)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_UnionFind)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_BigIntDivmod)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_RationalNormalize)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_HerbieAverageError)->Arg(256)->Arg(1000)->Arg(4096);
 
 // BENCHMARK_MAIN(), plus the build's failpoint setting in the context
 // block: bench builds (-DBUILD_TESTING=OFF) compile the failpoints out, so

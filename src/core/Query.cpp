@@ -232,6 +232,8 @@ private:
   // allocation-free.
   std::vector<size_t> AtomSizes;
   std::vector<unsigned> VarPosition;
+  std::vector<unsigned> Occurrences;
+  std::vector<size_t> MinAtomSize;
   std::vector<unsigned> Perm;
   std::vector<Value> PrimArgs;
   /// An atom holding a level's variable, at join column Depth, with its
@@ -340,8 +342,8 @@ private:
   /// Greedy variable ordering: most-constrained (highest atom occurrence)
   /// first, breaking ties toward variables whose atoms are small.
   void chooseVariableOrder(const std::vector<size_t> &Sizes) {
-    std::vector<unsigned> Occurrences(Q.NumVars, 0);
-    std::vector<size_t> MinAtomSize(Q.NumVars, SIZE_MAX);
+    Occurrences.assign(Q.NumVars, 0);
+    MinAtomSize.assign(Q.NumVars, SIZE_MAX);
     for (size_t AtomIndex = 0; AtomIndex < Atoms.size(); ++AtomIndex) {
       for (const AtomCol &Col : Atoms[AtomIndex].Cols) {
         ++Occurrences[Col.Var];
@@ -499,6 +501,10 @@ private:
   }
 
   void emitMatch() {
+    if (PendingPrims == 0) {
+      appendMatch();
+      return;
+    }
     // All join variables are bound; flush remaining primitives (those whose
     // outputs feed nothing else may still be pending).
     size_t Mark = trailMark();
@@ -623,7 +629,8 @@ private:
         for (size_t Pos = 1; Alive && Pos < Col.Positions.size(); ++Pos)
           Alive = narrowOn(Exec, Out, Col.Positions[Pos], Candidate);
       }
-      if (Alive && bindVar(Var, Candidate) && runReadyPrims())
+      if (Alive && bindVar(Var, Candidate) &&
+          (PendingPrims == 0 || runReadyPrims()))
         joinLevel(Level + 1);
       trailUndo(Mark);
       GroupStart = GroupEnd;

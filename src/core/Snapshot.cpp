@@ -1320,8 +1320,10 @@ bool loadSnapshot(EGraph &G, const std::string &Path, EggError &Err) {
                              sectionName(Id) + " section");
     const uint8_t *Payload = Frames.Data + Frames.Off;
     Frames.Off += Len;
-    uint32_t StoredCrc;
-    Frames.readU32(StoredCrc);
+    uint32_t StoredCrc = 0;
+    if (!Frames.readU32(StoredCrc))
+      return ioFail(Err, std::string("corrupt snapshot: truncated ") +
+                             sectionName(Id) + " section");
     if (crc32c(Payload, Len) != StoredCrc)
       return ioFail(Err, std::string("corrupt snapshot: checksum mismatch "
                                      "in ") +

@@ -59,72 +59,6 @@ unsigned FPExpr::arity(OpKind Op) {
   return 0;
 }
 
-double egglog::herbie::evalDouble(const FPExpr &E, const Env &Inputs) {
-  switch (E.Op) {
-  case OpKind::Num:
-    return E.Constant;
-  case OpKind::Var: {
-    auto It = Inputs.find(E.Name);
-    return It == Inputs.end() ? std::numeric_limits<double>::quiet_NaN()
-                              : It->second;
-  }
-  case OpKind::Add:
-    return evalDouble(*E.Args[0], Inputs) + evalDouble(*E.Args[1], Inputs);
-  case OpKind::Sub:
-    return evalDouble(*E.Args[0], Inputs) - evalDouble(*E.Args[1], Inputs);
-  case OpKind::Mul:
-    return evalDouble(*E.Args[0], Inputs) * evalDouble(*E.Args[1], Inputs);
-  case OpKind::Div:
-    return evalDouble(*E.Args[0], Inputs) / evalDouble(*E.Args[1], Inputs);
-  case OpKind::Neg:
-    return -evalDouble(*E.Args[0], Inputs);
-  case OpKind::Sqrt:
-    return std::sqrt(evalDouble(*E.Args[0], Inputs));
-  case OpKind::Cbrt:
-    return std::cbrt(evalDouble(*E.Args[0], Inputs));
-  case OpKind::Fabs:
-    return std::fabs(evalDouble(*E.Args[0], Inputs));
-  case OpKind::Fma:
-    return std::fma(evalDouble(*E.Args[0], Inputs),
-                    evalDouble(*E.Args[1], Inputs),
-                    evalDouble(*E.Args[2], Inputs));
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
-DoubleDouble egglog::herbie::evalExact(const FPExpr &E, const Env &Inputs) {
-  switch (E.Op) {
-  case OpKind::Num:
-    return DoubleDouble(E.Constant);
-  case OpKind::Var: {
-    auto It = Inputs.find(E.Name);
-    return It == Inputs.end()
-               ? DoubleDouble(std::numeric_limits<double>::quiet_NaN())
-               : DoubleDouble(It->second);
-  }
-  case OpKind::Add:
-    return evalExact(*E.Args[0], Inputs) + evalExact(*E.Args[1], Inputs);
-  case OpKind::Sub:
-    return evalExact(*E.Args[0], Inputs) - evalExact(*E.Args[1], Inputs);
-  case OpKind::Mul:
-    return evalExact(*E.Args[0], Inputs) * evalExact(*E.Args[1], Inputs);
-  case OpKind::Div:
-    return evalExact(*E.Args[0], Inputs) / evalExact(*E.Args[1], Inputs);
-  case OpKind::Neg:
-    return -evalExact(*E.Args[0], Inputs);
-  case OpKind::Sqrt:
-    return evalExact(*E.Args[0], Inputs).sqrt();
-  case OpKind::Cbrt:
-    return evalExact(*E.Args[0], Inputs).cbrt();
-  case OpKind::Fabs:
-    return evalExact(*E.Args[0], Inputs).abs();
-  case OpKind::Fma:
-    return fmaDD(evalExact(*E.Args[0], Inputs), evalExact(*E.Args[1], Inputs),
-                 evalExact(*E.Args[2], Inputs));
-  }
-  return DoubleDouble(std::numeric_limits<double>::quiet_NaN());
-}
-
 namespace {
 void collectVars(const FPExpr &E, std::set<std::string> &Out) {
   if (E.Op == OpKind::Var)

@@ -7,18 +7,16 @@
 /// \file
 /// The real-expression language of mini-Herbie (§6.2): the operators
 /// Herbie's motivating examples need (+ - * / neg sqrt cbrt fabs fma),
-/// numeric constants and named variables. Expressions evaluate both in
-/// binary64 (the candidate implementation) and in double-double (the
-/// high-precision ground truth), and print as egglog `Math` terms.
+/// numeric constants and named variables. Expressions print as egglog
+/// `Math` terms; ErrorModel.h compiles them for evaluation in binary64
+/// (the candidate implementation) and double-double (the ground truth).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EGGLOG_HERBIE_FPEXPR_H
 #define EGGLOG_HERBIE_FPEXPR_H
 
-#include "support/DoubleDouble.h"
-
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,15 +57,6 @@ struct FPExpr {
   /// Number of operator arguments expected for each kind.
   static unsigned arity(OpKind Op);
 };
-
-/// An assignment of input variables.
-using Env = std::map<std::string, double>;
-
-/// Evaluates in binary64 (rounding at every step). May return NaN/Inf.
-double evalDouble(const FPExpr &E, const Env &Inputs);
-
-/// Evaluates in double-double (the ground-truth precision).
-DoubleDouble evalExact(const FPExpr &E, const Env &Inputs);
 
 /// Collects the distinct variable names in an expression.
 std::vector<std::string> freeVariables(const FPExpr &E);

@@ -389,6 +389,41 @@ TEST(SnapshotTest, CorruptionTruncationSweep) {
   std::remove(Corrupt.c_str());
 }
 
+TEST(SnapshotTest, TruncationInsideASectionChecksumIsATruncatedSection) {
+  // The truncation sweep trips the whole-file checksum first. Here the
+  // file checksum is repaired after cutting the first section's checksum
+  // word short, so the section framing itself must reject the file.
+  const std::string Path = tmpPath("snap_crc_trunc.snap");
+  Victim V;
+  ASSERT_TRUE(V.F.execute("(save \"" + Path + "\")")) << V.F.error();
+  std::vector<unsigned char> Good = readBytes(Path);
+  // Envelope header (magic, version, flags, section count), then the
+  // first frame: u32 id, u64 payload length, payload, u32 checksum.
+  constexpr size_t Header = 8 + 4 + 4 + 4;
+  ASSERT_GT(Good.size(), Header + 12);
+  uint64_t Len = 0;
+  for (int I = 0; I < 8; ++I)
+    Len |= static_cast<uint64_t>(Good[Header + 4 + static_cast<size_t>(I)])
+           << (8 * I);
+  size_t CrcWord = Header + 12 + static_cast<size_t>(Len);
+  ASSERT_LT(CrcWord + 4, Good.size());
+
+  for (size_t Kept = 0; Kept < 4; ++Kept) {
+    std::vector<unsigned char> Bytes(Good.begin(),
+                                     Good.begin() + CrcWord + Kept);
+    uint32_t Crc =
+        crc32cFinish(crc32cUpdate(crc32cInit(), Bytes.data(), Bytes.size()));
+    for (int I = 0; I < 4; ++I)
+      Bytes.push_back(static_cast<unsigned char>(Crc >> (8 * I)));
+    writeBytes(Path, Bytes);
+    std::string Context = std::to_string(Kept) + " checksum bytes kept";
+    V.expectLoadFails(Path, Context.c_str());
+    EXPECT_NE(V.F.error().find("truncated"), std::string::npos)
+        << Context << ": " << V.F.error();
+  }
+  std::remove(Path.c_str());
+}
+
 TEST(SnapshotTest, VersionSkewIsRejected) {
   const std::string Path = tmpPath("snap_version.snap");
   Victim V;
